@@ -16,16 +16,22 @@ from pathlib import Path
 def cell_failures(records: "list[dict]") -> "list[str]":
     """Cells whose mean confidence interval misses the study's exact γ.
 
-    The interval is re-checked from the record's own numbers rather than
-    trusted from its ``within_ci`` flag, so a record whose flag disagrees
-    with its bounds fails too.
+    Containment is decided from the record's own bounds with the program's
+    definition, :meth:`ConfidenceInterval.contains`, which allows a few
+    ULPs of slack so a zero-width interval equal to γ covers it. The
+    record's ``within_ci`` flag is not trusted: a record whose flag
+    disagrees with its bounds fails too.
     """
+    from repro.smc.results import ConfidenceInterval
+
     failures = []
     for record in records:
         gamma = record["gamma_true"]
         if gamma is None:
             continue
-        inside = record["ci_low"] <= gamma <= record["ci_high"]
+        low, high = record["ci_low"], record["ci_high"]
+        # The level does not enter contains(); records do not carry it.
+        inside = low <= high and ConfidenceInterval(low, high, confidence=0.5).contains(gamma)
         if not inside or record["within_ci"] is not True:
             failures.append(
                 f"{record['study']}/{record['estimator']}: mean CI "

@@ -33,6 +33,9 @@ class Tracer:
         self.active = False
         self.spans: "list[tuple[int, int, str, float, float, int]]" = []
         self.counts: "dict[str, float]" = defaultdict(float)
+        #: ``((study, estimator, seed), start, end)`` of every
+        #: ``execute_request`` call, to match service jobs with their work.
+        self.executions: "list[tuple[tuple, float, float]]" = []
         self._ids = itertools.count()
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -47,12 +50,6 @@ class Tracer:
         """Add *amount* to a named counter (thread-safe)."""
         with self._lock:
             self.counts[counter] += amount
-
-    def record(self, name: str, start: float, end: float) -> None:
-        """Record a span that was timed by hand (client-side latencies)."""
-        stack = self._stack()
-        parent = stack[-1] if stack else -1
-        self.spans.append((next(self._ids), parent, name, start, end, threading.get_ident()))
 
     def wrap(self, name, fn, before=None, after=None):
         """Return *fn* timed as span *name*.
@@ -98,10 +95,6 @@ class Tracer:
             if thread is None or span_thread == thread:
                 totals[name] += (end - start) - child_time[sid]
         return totals
-
-    def totals(self, name: str) -> float:
-        """Summed duration of every span called *name*."""
-        return sum(end - start for _s, _p, n, start, end, _t in self.spans if n == name)
 
     def write(self, path: Path) -> None:
         """Write all spans (one JSON array per line) and the counters."""
@@ -179,6 +172,18 @@ def _store_hooks(tracer: Tracer):
     return before, after
 
 
+def _execute_hooks(tracer: Tracer):
+    def before(_args, _kwargs):
+        return time.perf_counter()
+
+    def after(start, args, kwargs, _result) -> None:
+        request = args[0] if args else kwargs["request"]
+        key = (request.study, request.estimator, request.seed)
+        tracer.executions.append((key, start, time.perf_counter()))
+
+    return before, after
+
+
 def _count_calls(tracer: Tracer, counter: str):
     def after(_state, _args, _kwargs, _result) -> None:
         tracer.add(counter)
@@ -226,7 +231,7 @@ def instrument(tracer: Tracer):
         (matrix, "run_matrix", "experiments.runner", None, None),
         (jobs, "run_matrix", "experiments.runner", None, None),
         (runner, "map_repetitions", "experiments.runner", None, None),
-        (jobs, "execute_request", "service.execute", None, None),
+        (jobs, "execute_request", "service.execute", *_execute_hooks(tracer)),
     ]
     originals = []
     for owner, attribute, name, before, after in targets:

@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench-out"
 #: Fresh interpreters timed per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 7
 
 
 def parse_args(argv: "list[str] | None") -> argparse.Namespace:

@@ -17,6 +17,7 @@ Exits 0 when every assertion holds; takes about a minute.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -84,6 +85,11 @@ def check_corruption_is_rejected() -> None:
     assert len(checks.cell_failures([shifted])) == 1
     flag_only = dict(record, within_ci=False)
     assert len(checks.cell_failures([flag_only])) == 1
+    # A zero-width interval a few ULPs from γ covers it, as the program says.
+    gamma = record["gamma_true"]
+    above = math.nextafter(math.nextafter(gamma, math.inf), math.inf)
+    degenerate = dict(record, ci_low=above, ci_high=above, within_ci=True)
+    assert checks.cell_failures([degenerate]) == [], degenerate
 
     text = result.to_csv_text()
     corrupted = text.replace(repr(record["estimate_mean"]), repr(record["estimate_mean"] * 1.001))

@@ -15,17 +15,14 @@ START = time.perf_counter()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
-import shutil  # noqa: E402
 import sys  # noqa: E402
-import tempfile  # noqa: E402
-import threading  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT))
 
-TINY_STUDIES = ("illustrative", "knuth-yao")
+from perfbench.serving import TINY_STUDIES, booted_server  # noqa: E402
 
 
 def matrix_setup(seed: int, tiny: bool) -> float:
@@ -39,24 +36,8 @@ def matrix_setup(seed: int, tiny: bool) -> float:
 
 
 def service_setup(out_dir: Path) -> float:
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceConfig, create_server
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    store_root = tempfile.mkdtemp(prefix="setup-store-", dir=out_dir)
-    server = create_server(ServiceConfig(port=0, store_root=store_root, job_workers=1))
-    serving = threading.Thread(target=server.serve_forever, name="perfbench-http")
-    serving.start()
-    try:
-        host, port = server.server_address[:2]
-        ServiceClient(f"http://{host}:{port}").health()
+    with booted_server(out_dir):
         return time.perf_counter() - START
-    finally:
-        server.shutdown()
-        server.service.stop(timeout=30)
-        server.server_close()
-        serving.join(timeout=30)
-        shutil.rmtree(store_root, ignore_errors=True)
 
 
 def main() -> None:

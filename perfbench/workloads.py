@@ -9,9 +9,7 @@ workload exists and which layers it stresses.
 from __future__ import annotations
 
 import random
-import shutil
 import statistics
-import tempfile
 import threading
 import time
 from collections import deque
@@ -20,15 +18,14 @@ from pathlib import Path
 
 from perfbench import checks
 from perfbench.layers import Tracer, instrument, layer_metrics
+from perfbench.serving import TINY_STUDIES, booted_server
 
 #: The ``repro matrix --quick`` cell configuration every workload runs.
 QUICK = {"repetitions": 4, "n_samples": 1000, "search_rounds": 100, "quick": True}
 MATRIX_ESTIMATORS = {"matrix-imcis": ("imcis",), "matrix-sim": ("is", "ce", "imc")}
 SERVICE_ESTIMATORS = ("is", "imc")
-#: Root seeds of the matrix sweeps, taken in turn.
-SWEEP_SEEDS = (1, 2)
-#: Studies of the self-test's tiny runs and of the fixed-seed digest cell.
-TINY_STUDIES = ("illustrative", "knuth-yao")
+#: Root seed of every matrix sweep.
+SWEEP_SEED = 1
 #: Root seed of the digest cell, which must give the same records on every
 #: run of one commit whatever the workload seed.
 DIGEST_SEED = 2018
@@ -125,22 +122,21 @@ def run_matrix_workload(
 ) -> Outcome:
     """Sweep the quick study set until *seconds* have passed.
 
-    A sweep is one plain ``run_matrix`` call over every study at a root
-    seed from :data:`SWEEP_SEEDS`, taken in turn: exactly ``repro matrix
-    --quick --seed <root>``, which prepares its studies from that seed.
-    The root seeds are fixed, so the work of a run does not depend on the
-    workload seed and the spread between runs measures the machine; the
-    IMCIS search's cost varies too much from seed to seed for anything
-    else to be steady in a run of this length. The workload seed shuffles
-    the study order of every sweep. Sweeps are never cut short, and an
-    untraced window only closes after whole turns of :data:`SWEEP_SEEDS`,
-    so a faster program runs more of the same work, not different work.
-    A repeated root seed must give the records it gave before.
+    A sweep is one plain ``run_matrix`` call over every study at the fixed
+    root seed :data:`SWEEP_SEED`: exactly ``repro matrix --quick --seed 1``,
+    which prepares its studies from that seed. The root seed is fixed, so
+    the work of a run does not depend on the workload seed and the spread
+    between runs measures the machine; the IMCIS search's cost varies too
+    much from seed to seed for anything else to be steady in a run of
+    this length. The workload seed shuffles the study order of every
+    sweep. Sweeps are never cut short, so a faster program runs more of
+    the same work, not different work. Every sweep must give the records
+    the first one gave.
 
     Set-up prepares every study once before the window opens, so lazy
     imports and first-use costs stay out of it. Traced runs run every
     sweep twice, once with tracing off, and require both to give the
-    same bytes; their window may close after any sweep.
+    same bytes.
     """
     import repro.experiments.matrix as matrix
     from repro.models.registry import REGISTRY
@@ -161,23 +157,17 @@ def run_matrix_workload(
         shuffle = random.Random(seed)
         walls = {False: 0.0, True: 0.0}
         reps = 0
-        cycle_rates: "list[float]" = []
-        cycle_start = (0, 0.0)
+        sweep_rates: "list[float]" = []
         latencies: "list[float]" = []
         csv_texts: "list[str]" = []
         window_start = time.perf_counter()
         sweeps = 0
-        first_records: "dict[int, list[dict]]" = {}
-        while (
-            sweeps == 0
-            or time.perf_counter() - window_start < seconds
-            or (not trace and sweeps % len(SWEEP_SEEDS))
-        ):
-            root = SWEEP_SEEDS[sweeps % len(SWEEP_SEEDS)]
+        first_records = None
+        while sweeps == 0 or time.perf_counter() - window_start < seconds:
             order = list(studies)
             shuffle.shuffle(order)
             config = matrix.MatrixConfig(
-                studies=tuple(order), estimators=estimators, seed=root, workers=1, **QUICK
+                studies=tuple(order), estimators=estimators, seed=SWEEP_SEED, workers=1, **QUICK
             )
             modes = [False] if not trace else ([False, True] if sweeps % 2 == 0 else [True, False])
             texts = {}
@@ -190,14 +180,17 @@ def run_matrix_workload(
                 if not traced:
                     latencies += rep_latencies
                     records = result.records()
+                    untraced_wall = wall
             if trace and texts[True] != texts[False]:
                 problem = f"sweep {sweeps}: traced records differ from untraced ones"
                 outcome.broken.append(problem)
                 outcome.failures.append(problem)
                 outcome.failed += 1
             by_study = sorted(records, key=lambda record: record["study"])
-            if first_records.setdefault(root, by_study) != by_study:
-                problem = f"sweep {sweeps}: root seed {root} gave different records than before"
+            if first_records is None:
+                first_records = by_study
+            elif first_records != by_study:
+                problem = f"sweep {sweeps}: root seed {SWEEP_SEED} gave different records than before"
                 outcome.broken.append(problem)
                 outcome.failures.append(problem)
                 outcome.failed += 1
@@ -205,12 +198,11 @@ def run_matrix_workload(
             outcome.failures += problems
             outcome.failed += len(problems)
             outcome.attempted += len(records)
-            reps += sum(record["repetitions"] for record in records)
+            sweep_reps = sum(record["repetitions"] for record in records)
+            reps += sweep_reps
+            sweep_rates.append(sweep_reps / untraced_wall)
             csv_texts.append(texts[False])
             sweeps += 1
-            if sweeps % len(SWEEP_SEEDS) == 0:
-                cycle_rates.append((reps - cycle_start[0]) / (walls[False] - cycle_start[1]))
-                cycle_start = (reps, walls[False])
     finally:
         tracer.active = False
         undo()
@@ -219,7 +211,7 @@ def run_matrix_workload(
     tail_value, tail_pct, samples = tail(latencies)
     cold_p50 = statistics.median(latencies)
     outcome.end_to_end = {
-        "reps_per_s": statistics.median(cycle_rates) if cycle_rates else reps / walls[False],
+        "reps_per_s": statistics.median(sweep_rates),
     }
     outcome.notes.append(
         f"{sweeps} sweep(s), {reps} repetitions in {walls[False]:.2f} s untraced; "
@@ -231,7 +223,7 @@ def run_matrix_workload(
         studies=list(studies),
         estimators=list(estimators),
         records_digest=checks.digest(csv_texts),
-        cycle_rates=cycle_rates,
+        sweep_rates=sweep_rates,
         cold_p50_s=cold_p50,
         cold_tail_s=tail_value,
         cold_tail_percentile=tail_pct,
@@ -264,9 +256,19 @@ class RequestFeed:
     The stream comes in blocks. Each block holds one cold request (a seed
     never used before) per (study, estimator) pair and, from the second
     block on, one warm request per pair that repeats the pair's cold
-    request of the block before, all shuffled. The mix is therefore the
-    same in every block, and a warm request's cold original was issued a
-    block earlier, so it is normally stored by the time it repeats.
+    request of the block before, all shuffled. A warm request's cold
+    original was issued a block earlier, so it is normally stored by the
+    time it repeats. The stream ends only between blocks, so every run
+    serves whole blocks and the same mix; a faster program serves more
+    blocks.
+
+    The one-to-one cold:warm ratio and the equal weight of every pair are
+    assumptions: no record of real traffic exists. Equal shares give the
+    store's write and read paths the same weight and enough samples of
+    each for a tail; equal study weights match a ``run_matrix`` sweep.
+    The seed draws the cold seeds and the order within each block, not
+    the ratio, so every run serves the same mix and the spread between
+    runs measures the machine. Runs report the shares they served.
     """
 
     def __init__(self, seed: int, studies, deadline: float):
@@ -276,9 +278,11 @@ class RequestFeed:
         self._last_cold: "dict[tuple[str, str], dict]" = {}
         self._seeds: "set[int]" = set()
         self._pairs = [(study, est) for study in studies for est in SERVICE_ESTIMATORS]
+        self._blocks = 0
         self.deadline = deadline
 
     def _fill(self) -> None:
+        self._blocks += 1
         previous = dict(self._last_cold)
         block = []
         for study, estimator in self._pairs:
@@ -295,16 +299,18 @@ class RequestFeed:
         self._pending.extend(block)
 
     def next(self) -> "tuple[str, dict] | None":
-        """The next request, or ``None`` once the load window has ended."""
+        """The next request, or ``None`` once the deadline has passed and
+        the current block is used up. The first two blocks always run, so
+        warm requests are always served."""
         with self._lock:
-            if time.perf_counter() >= self.deadline:
-                return None
             if not self._pending:
+                if self._blocks >= 2 and time.perf_counter() >= self.deadline:
+                    return None
                 self._fill()
             return self._pending.popleft()
 
 
-def _client(base_url: str, feed: RequestFeed, jobs: list, tracer: Tracer) -> None:
+def _client(base_url: str, feed: RequestFeed, jobs: list) -> None:
     """One closed-loop client: submit, follow the SSE stream to the end,
     fetch the result, repeat."""
     from repro.errors import QueueFullError
@@ -328,11 +334,8 @@ def _client(base_url: str, feed: RequestFeed, jobs: list, tracer: Tracer) -> Non
             record["state"] = f"error: {type(error).__name__}: {error}"
             continue
         submitted = time.perf_counter()
-        running = None
         try:
             for event in client.events(document["id"]):
-                if event["event"] == "running" and running is None:
-                    running = time.perf_counter()
                 if event["event"] in ("complete", "failed", "cancelled"):
                     record["state"] = event["event"]
                     break
@@ -341,17 +344,15 @@ def _client(base_url: str, feed: RequestFeed, jobs: list, tracer: Tracer) -> Non
         except Exception as error:  # noqa: BLE001 — counted as a failed job
             record["state"] = f"error: {type(error).__name__}: {error}"
             continue
-        running = submitted if running is None else running
         record.update(
             id=document["id"],
             deduplicated=document["deduplicated"],
+            started=started,
+            submitted=submitted,
+            finished=finished,
             latency=finished - started,
-            queue_wait=running - started,
             csv=(snapshot.get("result") or {}).get("csv"),
         )
-        if tracer.active:
-            tracer.record("service.submit", started, submitted)
-            tracer.record("service.queue_wait", started, running)
 
 
 def _load_window(
@@ -359,42 +360,77 @@ def _load_window(
 ):
     """Boot a fresh server over a fresh store and drive it for *seconds*,
     with *tracer* recording while *traced*."""
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceConfig, create_server
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    store_root = Path(tempfile.mkdtemp(prefix="store-", dir=out_dir))
-    server = create_server(ServiceConfig(port=0, store_root=store_root, job_workers=1))
-    serving = threading.Thread(target=server.serve_forever, name="perfbench-http")
-    serving.start()
     jobs: "list[dict]" = []
-    try:
-        host, port = server.server_address[:2]
-        base_url = f"http://{host}:{port}"
-        ServiceClient(base_url).health()
+    with booted_server(out_dir) as base_url:
         start = time.perf_counter()
         feed = RequestFeed(seed, studies, start + seconds)
         tracer.active = traced
-        clients = [
-            threading.Thread(target=_client, args=(base_url, feed, jobs, tracer), name=f"client-{i}")
-            for i in range(CLIENTS)
-        ]
-        for thread in clients:
-            thread.start()
-        for thread in clients:
-            thread.join(timeout=120)
-        window = time.perf_counter() - start
-        tracer.active = False
+        try:
+            clients = [
+                threading.Thread(
+                    target=_client, args=(base_url, feed, jobs), name=f"client-{i}"
+                )
+                for i in range(CLIENTS)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+            window = time.perf_counter() - start
+        finally:
+            tracer.active = False
         if any(thread.is_alive() for thread in clients):
             raise RuntimeError("a service client did not finish within 120 s")
-    finally:
-        tracer.active = False
-        server.shutdown()
-        server.service.stop(timeout=60)
-        server.server_close()
-        serving.join(timeout=30)
-        shutil.rmtree(store_root, ignore_errors=True)
     return jobs, window
+
+
+def _shares(jobs: "list[dict]") -> "dict[str, float]":
+    """Cold and warm shares of the jobs issued, and the share of submitted
+    jobs the server deduplicated onto one it already had."""
+    submitted = [job for job in jobs if "id" in job]
+    return {
+        "cold_share": sum(1 for job in jobs if job["kind"] == "cold") / len(jobs),
+        "warm_share": sum(1 for job in jobs if job["kind"] == "warm") / len(jobs),
+        "dedup_share": (
+            sum(1 for job in submitted if job["deduplicated"]) / len(submitted)
+            if submitted else 0.0
+        ),
+    }
+
+
+def _job_breakdown(jobs: "list[dict]", tracer: Tracer) -> None:
+    """Split the latency of every completed job into its parts.
+
+    Each job is matched with its ``execute_request`` call (same study,
+    estimator and seed, overlapping the job), clipped to the job's own
+    interval. Queue wait runs from the POST's return until the job worker
+    starts the call; HTTP time is the latency left after queue wait and
+    execution, so the three sum to the latency exactly and none is
+    negative. ``prepare`` is the ``make_study`` time inside the call.
+    Stores ``job["parts"]`` with these and the submit round trip.
+    """
+    calls: "dict[tuple, list[tuple[float, float]]]" = {}
+    for key, start, end in tracer.executions:
+        calls.setdefault(key, []).append((start, end))
+    prepares = [(start, end) for _s, _p, name, start, end, _t in tracer.spans
+                if name == "models.prepare"]
+    for job in jobs:
+        if job["state"] != "complete":
+            continue
+        payload = job["payload"]
+        clipped = [
+            (max(start, job["started"]), min(end, job["finished"]))
+            for start, end in calls[(payload["study"], payload["estimator"], payload["seed"])]
+        ]
+        start, end = max(clipped, key=lambda span: span[1] - span[0])
+        waited = max(0.0, start - job["submitted"])
+        job["parts"] = {
+            "submit": job["submitted"] - job["started"],
+            "queue_wait": waited,
+            "execute": end - start,
+            "prepare": sum(e - s for s, e in prepares if start <= s and e <= end),
+            "http": job["latency"] - waited - (end - start),
+        }
 
 
 def _latency_stats(jobs: "list[dict]", kind: str) -> "tuple[float, float, float, int]":
@@ -468,6 +504,11 @@ def run_service_workload(
     outcome.end_to_end = {
         "reps_per_s": sum(job["payload"]["repetitions"] for job in completed) / window,
     }
+    shares = _shares(jobs)
+    outcome.notes.append(
+        f"served shares: cold {shares['cold_share']:.3f}, warm {shares['warm_share']:.3f}, "
+        f"deduplicated {shares['dedup_share']:.3f}"
+    )
     outcome.notes.append(
         f"{len(jobs)} jobs in {window:.2f} s ({jobs_per_s:.2f} jobs/s); "
         f"cold p50 {cold_p50:.4f} s, p{cold_pct:.1f} {cold_tail:.4f} s of {cold_n}; "
@@ -475,6 +516,7 @@ def run_service_workload(
     )
     outcome.report.update(
         jobs=len(jobs),
+        **shares,
         jobs_per_s=jobs_per_s,
         cold_p50_s=cold_p50,
         cold_tail_s=cold_tail,
@@ -495,20 +537,17 @@ def run_service_workload(
             undo()
         _check_jobs(outcome, traced_jobs)
         traced_done = [job for job in traced_jobs if job["state"] == "complete"]
-        submitted = [job for job in traced_jobs if "id" in job]
         worker = {span[5] for span in tracer.spans if span[2] == "service.execute"}
         outcome.layers = layer_metrics(tracer, traced_window, worker.pop() if worker else -1)
-        queue_wait = tracer.totals("service.queue_wait")
-        latency = sum(job["latency"] for job in submitted)
+        _job_breakdown(traced_jobs, tracer)
+        parts = [job["parts"] for job in traced_jobs if "parts" in job]
         outcome.layers.update(
             {
-                "service.submit_s": tracer.totals("service.submit"),
-                "service.queue_wait_s": queue_wait,
+                "service.submit_s": sum(part["submit"] for part in parts),
+                "service.queue_wait_s": sum(part["queue_wait"] for part in parts),
                 "service.execute_s": tracer.self_times()["service.execute"],
-                "service.http_s": latency - queue_wait - tracer.totals("service.execute"),
-                "service.dedup_ratio": (
-                    sum(1 for job in submitted if job["deduplicated"]) / len(submitted)
-                ),
+                "service.http_s": sum(part["http"] for part in parts),
+                "service.dedup_ratio": _shares(traced_jobs)["dedup_share"],
                 "service.rejected": sum(1 for job in traced_jobs if job["state"] == "rejected"),
                 "service.jobs_per_s": jobs_per_s,
                 "service.warm_job_p50_s": warm_p50,
@@ -519,6 +558,17 @@ def run_service_workload(
             }
         )
         outcome.report["traced_jobs"] = len(traced_jobs)
+        for kind in ("cold", "warm"):
+            done = [job for job in traced_jobs if job["kind"] == kind and "parts" in job]
+            cut = tail([job["latency"] for job in done])[0]
+            for label, group in (("all", done), ("tail", [j for j in done if j["latency"] >= cut])):
+                medians = {name: statistics.median(job["parts"][name] for job in group)
+                           for name in group[0]["parts"]}
+                outcome.report[f"traced_{kind}_{label}_median_parts_s"] = medians
+                outcome.notes.append(
+                    f"traced {kind} jobs ({label}, {len(group)}), median parts (s): "
+                    + ", ".join(f"{name} {value:.4f}" for name, value in medians.items())
+                )
     _digest_check(outcome, SERVICE_ESTIMATORS, src, out_dir, "service-mixed")
     return outcome
 
