@@ -1,6 +1,6 @@
 """Run one benchmark workload, check its outputs and print its metrics.
 
-    python3 perfbench/run.py --workload matrix-imcis --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload matrix-imcis --seed 1 --seconds 28 --trace 0
 
 Run from the root of a checkout; the program is imported from ``src/``.
 The last line of standard output is one JSON object with the keys
@@ -25,8 +25,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench-out"
-#: Fresh interpreters timed per run; ``setup_s`` is their median.
-SETUP_REPEATS = 7
+#: Fresh interpreters timed per run; ``setup_s`` is the median of their
+#: set-up times at the reference speed.
+SETUP_REPEATS = 5
 
 
 def parse_args(argv: "list[str] | None") -> argparse.Namespace:
@@ -43,8 +44,9 @@ def parse_args(argv: "list[str] | None") -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def measure_setup(workload: str, seed: int, tiny: bool) -> "list[float]":
-    """Set-up seconds of *SETUP_REPEATS* fresh interpreters, one after another."""
+def measure_setup(workload: str, seed: int, tiny: bool) -> "list[dict[str, float]]":
+    """Set-up seconds and reference loop time of *SETUP_REPEATS* fresh
+    interpreters, one after another."""
     command = [
         sys.executable,
         str(ROOT / "perfbench" / "setup_probe.py"),
@@ -57,7 +59,7 @@ def measure_setup(workload: str, seed: int, tiny: bool) -> "list[float]":
         done = subprocess.run(
             command, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True
         )
-        samples.append(json.loads(done.stdout.strip().splitlines()[-1])["setup_s"])
+        samples.append(json.loads(done.stdout.strip().splitlines()[-1]))
     return samples
 
 
@@ -88,6 +90,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     sys.path.insert(0, str(SRC))
     sys.path.insert(1, str(ROOT))
+    from perfbench.reference import REFERENCE_S
     from perfbench.workloads import run_workload
 
     spec = json.loads(spec_file.read_text())
@@ -101,7 +104,10 @@ def main(argv: "list[str] | None" = None) -> int:
         values = dict(outcome.layers)
     else:
         values = {
-            "setup_s": statistics.median(setup_samples),
+            "setup_s": statistics.median(
+                sample["setup_s"] * REFERENCE_S / sample["reference_s"]
+                for sample in setup_samples
+            ),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             **outcome.end_to_end,
         }
@@ -123,7 +129,7 @@ def main(argv: "list[str] | None" = None) -> int:
     report = {
         "args": vars(args),
         "environment": env,
-        "setup_samples_s": setup_samples,
+        "setup_samples": setup_samples,
         "failures": outcome.failures,
         **outcome.report,
         "result": result,
@@ -136,7 +142,13 @@ def main(argv: "list[str] | None" = None) -> int:
     for note in outcome.notes:
         print(note)
     if setup_samples:
-        print("setup samples (s): " + ", ".join(f"{s:.3f}" for s in setup_samples))
+        print(
+            "setup samples (s, raw / at the reference speed): "
+            + ", ".join(
+                f"{s['setup_s']:.3f} / {s['setup_s'] * REFERENCE_S / s['reference_s']:.3f}"
+                for s in setup_samples
+            )
+        )
     error_rate = outcome.failed / outcome.attempted if outcome.attempted else 0.0
     print(f"error_rate {error_rate:.4f} ({outcome.failed} of {outcome.attempted} operations)")
     for failure in outcome.failures[:20]:

@@ -49,6 +49,9 @@ def run_tiny(workload: str, trace: int) -> dict:
 
 
 def check_tiny_runs() -> None:
+    from perfbench.serving import TINY_STUDIES
+    from perfbench.workloads import MATRIX_ESTIMATORS
+
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     for workload in (w["name"] for w in spec["workloads"]):
         for trace, wanted in ((0, spec["end_to_end"]), (1, spec["per_layer"])):
@@ -56,6 +59,11 @@ def check_tiny_runs() -> None:
             assert set(result) == {"correct", "attempted", "failed", "metrics"}, result.keys()
             assert result["correct"] is True, (workload, trace)
             assert result["attempted"] >= 1 and 0 <= result["failed"] <= result["attempted"]
+            if workload in MATRIX_ESTIMATORS:
+                # One operation per cell and one for the digest cell, however
+                # many sweeps the window held.
+                cells = len(TINY_STUDIES) * len(MATRIX_ESTIMATORS[workload])
+                assert result["attempted"] == cells + 1, (workload, trace, result["attempted"])
             units = {name: m["unit"] for name, m in result["metrics"].items()}
             assert units == {m["name"]: m["unit"] for m in wanted}, (workload, trace, units)
             values = {name: m["value"] for name, m in result["metrics"].items()}

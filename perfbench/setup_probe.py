@@ -4,7 +4,8 @@ Set-up runs from the first line of this script up to the point where the
 workload could start its first timed operation: import ``repro`` and
 prepare the quick studies (matrix workloads), or import ``repro``, boot
 the service over a fresh store and get an answer from ``/healthz``
-(service). Prints ``{"setup_s": ...}``.
+(service). Then it runs :func:`perfbench.reference.reference` 100 times
+and prints ``{"setup_s": ..., "reference_s": <median loop time>}``.
 
     python3 perfbench/setup_probe.py --workload matrix-imcis --seed 1
 """
@@ -51,7 +52,10 @@ def main() -> None:
         setup_s = service_setup(args.out)
     else:
         setup_s = matrix_setup(args.seed, args.tiny)
-    print(json.dumps({"setup_s": setup_s}))
+    from perfbench.reference import reference
+
+    loops = sorted(reference() for _ in range(100))
+    print(json.dumps({"setup_s": setup_s, "reference_s": loops[len(loops) // 2]}))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from perfbench import checks
 from perfbench.layers import Tracer, instrument, layer_metrics
+from perfbench.reference import REFERENCE_S, reference
 from perfbench.serving import TINY_STUDIES, booted_server
 
 #: The ``repro matrix --quick`` cell configuration every workload runs.
@@ -31,6 +32,9 @@ SWEEP_SEED = 1
 DIGEST_SEED = 2018
 #: Client threads of the service load (the machine has two cores).
 CLIENTS = 2
+#: Seconds between two reference loops of the service load's main thread;
+#: each loop holds the GIL for about a millisecond.
+REFERENCE_PAUSE = 0.1
 SERVICE_LAYER_METRICS = (
     "service.submit_s",
     "service.queue_wait_s",
@@ -99,28 +103,59 @@ def _digest_check(outcome: Outcome, estimators, src: Path, out_dir: Path, key: s
 # ----------------------------------------------------------------------
 
 
-def _sweep(matrix, config):
-    """One ``run_matrix`` sweep; returns the result, its wall time and the
-    latency of each repetition (from the progress hook's timestamps)."""
-    latencies: "list[float]" = []
+class _WindowClosed(Exception):
+    """Raised from the progress hook to end a sweep at the window's end."""
+
+
+def _sweep(matrix, config, deadline: "float | None" = None, scaled: bool = True):
+    """One ``run_matrix`` sweep; returns the result and the sweep's wall
+    time split at its progress events.
+
+    Each stretch between two events is keyed by the event that ends it:
+    ``(event, study, estimator, done)``, or ``("end",)`` for the last
+    one. The keys name the same work in every sweep at one root seed,
+    whatever the study order. Each value is ``(seconds, scale)``: the
+    stretch's wall time and, when *scaled*, ``REFERENCE_S`` over the mean
+    of the :func:`reference` times taken just before and just after it
+    (1.0 otherwise). The reference runs outside every stretch, so the
+    seconds sum to the sweep's wall time less the reference loops, and to
+    all of it unscaled. When
+    *deadline* passes, the sweep stops at its next event and the result
+    is ``None``; the stretches completed so far are returned.
+    """
+    stretches: "dict[tuple, tuple[float, float]]" = {}
+    before = [reference() if scaled else REFERENCE_S]
     last = [0.0]
 
-    def progress(event: dict) -> None:
+    def close(key: tuple) -> None:
         now = time.perf_counter()
-        if event["event"] == "repetition":
-            latencies.append(now - last[0])
-        if event["event"] in ("cell-start", "repetition"):
-            last[0] = now
+        after = reference() if scaled else REFERENCE_S
+        stretches[key] = (now - last[0], 2 * REFERENCE_S / (before[0] + after))
+        before[0] = after
+        last[0] = time.perf_counter() if scaled else now
 
-    start = last[0] = time.perf_counter()
-    result = matrix.run_matrix(config, progress=progress)
-    return result, time.perf_counter() - start, latencies
+    def progress(event: dict) -> None:
+        close((event["event"], event["study"], event["estimator"], event.get("done")))
+        if deadline is not None and last[0] >= deadline:
+            raise _WindowClosed
+
+    last[0] = time.perf_counter()
+    try:
+        result = matrix.run_matrix(config, progress=progress)
+    except _WindowClosed:
+        return None, stretches
+    close(("end",))
+    return result, stretches
+
+
+def _cell_records(result) -> "dict[tuple[str, str], dict]":
+    return {(record["study"], record["estimator"]): record for record in result.records()}
 
 
 def run_matrix_workload(
     workload: str, seed: int, seconds: float, trace: bool, tiny: bool, src: Path, out_dir: Path
 ) -> Outcome:
-    """Sweep the quick study set until *seconds* have passed.
+    """Sweep the quick study set for *seconds*.
 
     A sweep is one plain ``run_matrix`` call over every study at the fixed
     root seed :data:`SWEEP_SEED`: exactly ``repro matrix --quick --seed 1``,
@@ -129,14 +164,30 @@ def run_matrix_workload(
     between runs measures the machine; the IMCIS search's cost varies too
     much from seed to seed for anything else to be steady in a run of
     this length. The workload seed shuffles the study order of every
-    sweep. Sweeps are never cut short, so a faster program runs more of
-    the same work, not different work. Every sweep must give the records
-    the first one gave.
+    sweep. The first sweep always completes; later ones run until the
+    window closes and the last is cut at its next progress event, so a
+    faster program runs more of the same work, not different work.
+    Traced runs run whole sweeps only, and start one only while the
+    fastest so far would still end inside the window.
+
+    ``reps_per_s`` is the repetitions of a sweep over the sum, across the
+    stretches of :func:`_sweep`, of each stretch's median time at the
+    reference speed (its seconds times its scale) over the untraced
+    sweeps of the run, the cut one included. Contention on the shared
+    machine slows the reference loop as it slows the program, so the
+    scaled time follows the program and not the machine's load; the raw
+    rates are reported beside it.
+
+    An operation is one (study, estimator) cell, checked in every sweep.
+    It fails when its mean CI misses γ in any sweep, or its record differs
+    from the first sweep's, or (traced runs) from the untraced sweep's.
+    The operations are the same in every run, so two runs of one commit
+    count the same failures.
 
     Set-up prepares every study once before the window opens, so lazy
     imports and first-use costs stay out of it. Traced runs run every
     sweep twice, once with tracing off, and require both to give the
-    same bytes.
+    same records.
     """
     import repro.experiments.matrix as matrix
     from repro.models.registry import REGISTRY
@@ -156,65 +207,87 @@ def run_matrix_workload(
 
         shuffle = random.Random(seed)
         walls = {False: 0.0, True: 0.0}
-        reps = 0
+        stretch_times: "dict[tuple, list[tuple[float, float]]]" = {}
         sweep_rates: "list[float]" = []
         latencies: "list[float]" = []
         csv_texts: "list[str]" = []
-        window_start = time.perf_counter()
+        first_cells: "dict[tuple[str, str], dict]" = {}
+        failed_cells: "dict[tuple[str, str], str]" = {}
+        quickest = float("inf")
+        deadline = time.perf_counter() + seconds
         sweeps = 0
-        first_records = None
-        while sweeps == 0 or time.perf_counter() - window_start < seconds:
+        while not (trace and sweeps and time.perf_counter() + quickest > deadline):
             order = list(studies)
             shuffle.shuffle(order)
             config = matrix.MatrixConfig(
                 studies=tuple(order), estimators=estimators, seed=SWEEP_SEED, workers=1, **QUICK
             )
             modes = [False] if not trace else ([False, True] if sweeps % 2 == 0 else [True, False])
-            texts = {}
+            closing = None if trace or sweeps == 0 else deadline
+            sweep_start = time.perf_counter()
+            results = {}
             for traced in modes:
                 tracer.active = traced
-                result, wall, rep_latencies = _sweep(matrix, config)
+                result, stretches = _sweep(matrix, config, closing, scaled=not trace)
                 tracer.active = False
+                wall = sum(seconds for seconds, _scale in stretches.values())
                 walls[traced] += wall
-                texts[traced] = result.to_csv_text()
+                results[traced] = result
                 if not traced:
-                    latencies += rep_latencies
-                    records = result.records()
-                    untraced_wall = wall
-            if trace and texts[True] != texts[False]:
-                problem = f"sweep {sweeps}: traced records differ from untraced ones"
-                outcome.broken.append(problem)
-                outcome.failures.append(problem)
-                outcome.failed += 1
-            by_study = sorted(records, key=lambda record: record["study"])
-            if first_records is None:
-                first_records = by_study
-            elif first_records != by_study:
-                problem = f"sweep {sweeps}: root seed {SWEEP_SEED} gave different records than before"
-                outcome.broken.append(problem)
-                outcome.failures.append(problem)
-                outcome.failed += 1
-            problems = checks.cell_failures(records)
-            outcome.failures += problems
-            outcome.failed += len(problems)
-            outcome.attempted += len(records)
-            sweep_reps = sum(record["repetitions"] for record in records)
-            reps += sweep_reps
-            sweep_rates.append(sweep_reps / untraced_wall)
-            csv_texts.append(texts[False])
+                    for key, value in stretches.items():
+                        stretch_times.setdefault(key, []).append(value)
+                    latencies += [v[0] for k, v in stretches.items() if k[0] == "repetition"]
+                    if result is not None:
+                        sweep_rates.append(
+                            sum(r["repetitions"] for r in result.records()) / wall
+                        )
+            if results[False] is None:
+                break
+            quickest = min(quickest, time.perf_counter() - sweep_start)
+            cells = _cell_records(results[False])
+            first_cells = first_cells or cells
+            problems = {
+                key: f"sweep {sweeps}: {key[0]}/{key[1]} record differs from the first sweep's"
+                for key in cells if cells[key] != first_cells.get(key)
+            }
+            if trace:
+                traced_cells = _cell_records(results[True])
+                problems.update({
+                    key: f"sweep {sweeps}: {key[0]}/{key[1]} traced record differs from untraced"
+                    for key in cells if cells[key] != traced_cells.get(key)
+                })
+            outcome.broken += list(problems.values())
+            for key, record in cells.items():
+                problems.setdefault(key, next(iter(checks.cell_failures([record])), None))
+                if problems[key] is not None:
+                    failed_cells.setdefault(key, problems[key])
+            csv_texts.append(results[False].to_csv_text())
             sweeps += 1
+            if not trace and time.perf_counter() >= deadline:
+                break
     finally:
         tracer.active = False
         undo()
 
+    outcome.attempted += len(first_cells)
+    outcome.failed += len(failed_cells)
+    outcome.failures += list(failed_cells.values())
+    reps = sum(record["repetitions"] for record in first_cells.values())
     _digest_check(outcome, estimators, src, out_dir, workload)
     tail_value, tail_pct, samples = tail(latencies)
     cold_p50 = statistics.median(latencies)
-    outcome.end_to_end = {
-        "reps_per_s": statistics.median(sweep_rates),
-    }
+    raw_rate = reps / sum(
+        statistics.median(seconds for seconds, _scale in times) for times in stretch_times.values()
+    )
+    scaled_rate = reps / sum(
+        statistics.median(seconds * scale for seconds, scale in times)
+        for times in stretch_times.values()
+    )
+    outcome.end_to_end = {"reps_per_s": scaled_rate}
     outcome.notes.append(
-        f"{sweeps} sweep(s), {reps} repetitions in {walls[False]:.2f} s untraced; "
+        f"{sweeps} whole sweep(s) of {reps} repetitions, {walls[False]:.2f} s untraced, "
+        f"sweep rates {', '.join(f'{rate:.3f}' for rate in sweep_rates)} 1/s; "
+        f"median stretches {raw_rate:.3f} 1/s raw, {scaled_rate:.3f} 1/s at the reference speed; "
         f"repetition latency p50 {cold_p50:.4f} s, p{tail_pct:.1f} {tail_value:.4f} s "
         f"of {samples}"
     )
@@ -224,6 +297,7 @@ def run_matrix_workload(
         estimators=list(estimators),
         records_digest=checks.digest(csv_texts),
         sweep_rates=sweep_rates,
+        raw_reps_per_s=raw_rate,
         cold_p50_s=cold_p50,
         cold_tail_s=tail_value,
         cold_tail_percentile=tail_pct,
@@ -359,8 +433,17 @@ def _load_window(
     seed: int, seconds: float, studies, tracer: Tracer, traced: bool, out_dir: Path
 ):
     """Boot a fresh server over a fresh store and drive it for *seconds*,
-    with *tracer* recording while *traced*."""
+    with *tracer* recording while *traced*.
+
+    Returns the jobs, the window's length and, when untraced, the
+    :func:`reference` times the otherwise idle main thread took every
+    :data:`REFERENCE_PAUSE` seconds while the clients ran. The loop times
+    CPU time, so waiting for the GIL held by the program's threads does
+    not count: on one booted server its median was 1.45 ms during the
+    load against 1.49 ms just before it.
+    """
     jobs: "list[dict]" = []
+    references: "list[float]" = []
     with booted_server(out_dir) as base_url:
         start = time.perf_counter()
         feed = RequestFeed(seed, studies, start + seconds)
@@ -374,14 +457,19 @@ def _load_window(
             ]
             for thread in clients:
                 thread.start()
-            for thread in clients:
-                thread.join(timeout=120)
+            give_up = start + seconds + 120
+            running = clients
+            while running and time.perf_counter() < give_up:
+                if not traced:
+                    references.append(reference())
+                running[0].join(timeout=REFERENCE_PAUSE)
+                running = [thread for thread in running if thread.is_alive()]
             window = time.perf_counter() - start
         finally:
             tracer.active = False
-        if any(thread.is_alive() for thread in clients):
-            raise RuntimeError("a service client did not finish within 120 s")
-    return jobs, window
+        if running:
+            raise RuntimeError("a service client did not finish within 120 s of the window")
+    return jobs, window, references
 
 
 def _shares(jobs: "list[dict]") -> "dict[str, float]":
@@ -495,15 +583,21 @@ def run_service_workload(
     studies = TINY_STUDIES if tiny else tuple(REGISTRY.quick_studies())
     tracer = outcome.tracer = Tracer()
     plain_seconds = seconds / 2 if trace else seconds
-    jobs, window = _load_window(seed, plain_seconds, studies, tracer, False, out_dir)
+    jobs, window, references = _load_window(
+        seed, plain_seconds, studies, tracer, False, out_dir
+    )
     _check_jobs(outcome, jobs)
     completed = [job for job in jobs if job["state"] == "complete"]
     jobs_per_s = len(completed) / window
     cold_p50, cold_tail, cold_pct, cold_n = _latency_stats(jobs, "cold")
     warm_p50, warm_tail, warm_pct, warm_n = _latency_stats(jobs, "warm")
-    outcome.end_to_end = {
-        "reps_per_s": sum(job["payload"]["repetitions"] for job in completed) / window,
-    }
+    raw_rate = sum(job["payload"]["repetitions"] for job in completed) / window
+    scaled_rate = raw_rate * statistics.median(references) / REFERENCE_S
+    outcome.end_to_end = {"reps_per_s": scaled_rate}
+    outcome.notes.append(
+        f"{raw_rate:.3f} repetitions/s raw, {scaled_rate:.3f} at the reference speed "
+        f"(median of {len(references)} reference loops)"
+    )
     shares = _shares(jobs)
     outcome.notes.append(
         f"served shares: cold {shares['cold_share']:.3f}, warm {shares['warm_share']:.3f}, "
@@ -516,6 +610,7 @@ def run_service_workload(
     )
     outcome.report.update(
         jobs=len(jobs),
+        raw_reps_per_s=raw_rate,
         **shares,
         jobs_per_s=jobs_per_s,
         cold_p50_s=cold_p50,
@@ -530,7 +625,7 @@ def run_service_workload(
     if trace:
         undo = instrument(tracer)
         try:
-            traced_jobs, traced_window = _load_window(
+            traced_jobs, traced_window, _ = _load_window(
                 seed, seconds - plain_seconds, studies, tracer, True, out_dir
             )
         finally:
