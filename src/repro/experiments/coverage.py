@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.imcis.algorithm import IMCISConfig, IMCISResult, imcis_from_sample
+from repro.imcis.random_search import SEARCH_VERSION
 from repro.importance.bounded import UnrolledProposal, run_bounded_importance_sampling
 from repro.importance.estimator import estimate_from_sample, run_importance_sampling
 from repro.models.base import CaseStudy
@@ -159,15 +160,16 @@ def _coverage_key(
     """Content address of one coverage experiment's repetition stream.
 
     Covers the study's numeric content, the full IMCIS configuration
-    (confidence and every random-search/Dirichlet knob), the sampling
-    backend and the root seed entropy — everything a repetition depends
-    on besides its index.
+    (confidence, every random-search/Dirichlet knob and the search's
+    draw-order version), the sampling backend and the root seed entropy
+    — everything a repetition depends on besides its index.
     """
     return config_key(
         {
             "kind": "coverage-repetition",
             "study": describe_study(context.study, context.unrolled_proposal),
             "imcis_config": dataclasses.asdict(context.imcis_config),
+            "search_version": SEARCH_VERSION,
             "n_samples": context.n_samples,
             "backend": context.backend or "auto",
             "seed_entropy": seed_entropy(rng),

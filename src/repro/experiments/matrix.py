@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.errors import EstimationError, StoreError
 from repro.imcis.algorithm import IMCISConfig, imcis_from_sample
-from repro.imcis.random_search import RandomSearchConfig
+from repro.imcis.random_search import SEARCH_VERSION, RandomSearchConfig
 from repro.importance.bounded import run_bounded_importance_sampling
 from repro.importance.cross_entropy import cross_entropy_estimate
 from repro.importance.estimator import estimate_from_sample, run_importance_sampling
@@ -66,6 +66,7 @@ from repro.store.codecs import (
     decode_interval,
     encode_ce_estimate,
     encode_imc_estimate,
+    encode_imcis_search,
     encode_interval,
 )
 from repro.store.keys import code_versions, config_key, describe_study, seed_entropy
@@ -217,9 +218,9 @@ class _CellOutcome:
     """One repetition of one cell.
 
     ``detail`` carries estimator-specific diagnostics as an
-    already-encoded JSON payload (the ``ce``/``imc`` codecs of
+    already-encoded JSON payload (the ``ce``/``imc``/``imcis`` codecs of
     :mod:`repro.store.codecs`); the aggregation ignores it, but cached
-    records keep refinement/resampling health inspectable without
+    records keep refinement/resampling/search health inspectable without
     resimulation.
     """
 
@@ -277,7 +278,9 @@ def _cell_key(context: _CellContext, seed: int) -> str:
     seeds are prefix-stable spawns of *seed*) and includes each
     estimator's private tuning knobs only for that estimator — tuning
     the IMCIS search rounds or the CE budget split does not evict the
-    other estimators' cells.
+    other estimators' cells. Likewise the IMCIS search version
+    (:data:`~repro.imcis.random_search.SEARCH_VERSION`) keys only
+    ``imcis`` cells.
     """
     ce_params = None
     if context.estimator == "ce":
@@ -294,21 +297,24 @@ def _cell_key(context: _CellContext, seed: int) -> str:
             "ess_target": context.imc_ess_target,
             "replica_budget": context.imc_replica_budget,
         }
-    return config_key(
-        {
-            "kind": "matrix-cell",
-            "study": describe_study(context.prepared.study, context.prepared.unrolled_proposal),
-            "estimator": context.estimator,
-            "n_samples": context.n_samples,
-            "confidence": context.confidence,
-            "search_rounds": context.search_rounds if context.estimator == "imcis" else None,
-            "ce": ce_params,
-            "imc": imc_params,
-            "backend": context.backend or "auto",
-            "seed_entropy": seed_entropy(seed),
-            "versions": code_versions(),
-        }
-    )
+    payload = {
+        "kind": "matrix-cell",
+        "study": describe_study(context.prepared.study, context.prepared.unrolled_proposal),
+        "estimator": context.estimator,
+        "n_samples": context.n_samples,
+        "confidence": context.confidence,
+        "search_rounds": context.search_rounds if context.estimator == "imcis" else None,
+        "ce": ce_params,
+        "imc": imc_params,
+        "backend": context.backend or "auto",
+        "seed_entropy": seed_entropy(seed),
+        "versions": code_versions(),
+    }
+    if context.estimator == "imcis":
+        # The search's draw order: a new order never serves old records.
+        # Only imcis payloads carry the entry, so other cells keep their keys.
+        payload["imcis"] = {"search_version": SEARCH_VERSION}
+    return config_key(payload)
 
 
 def _draw_sample(
@@ -432,7 +438,10 @@ def _matrix_repetition(context: _CellContext, seed: np.random.SeedSequence) -> _
             search=RandomSearchConfig(r_undefeated=context.search_rounds, record_history=False),
         )
         result = imcis_from_sample(study.imc, sample, child, config)
-        return _CellOutcome(result.mid_value, result.interval, result.center_estimate.ess)
+        detail = None if result.search is None else encode_imcis_search(result.search.summary())
+        return _CellOutcome(
+            result.mid_value, result.interval, result.center_estimate.ess, detail=detail
+        )
     raise EstimationError(f"unknown estimator {context.estimator!r}; known: {ESTIMATOR_NAMES}")
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.imcis.algorithm import IMCISConfig, imcis_estimate
-from repro.imcis.random_search import RandomSearchConfig
+from repro.imcis.random_search import SEARCH_VERSION, RandomSearchConfig
 from repro.models import illustrative
 from repro.models.base import CaseStudy
 from repro.store.cache import map_repetitions_cached
@@ -147,6 +147,7 @@ def _table1_key(context: _Table1Context, rng: "np.random.Generator | int | None"
             "kind": "table1-repetition",
             "study": describe_study(context.study),
             "imcis_config": dataclasses.asdict(context.config),
+            "search_version": SEARCH_VERSION,
             "n_samples": context.n_samples,
             "backend": context.backend or "auto",
             "seed_entropy": seed_entropy(rng),

@@ -18,6 +18,7 @@ from repro.imcis.random_search import (
     HistoryEntry,
     RandomSearchConfig,
     RandomSearchResult,
+    SearchSummary,
     random_search,
 )
 from repro.imcis.refine import refine_extreme
@@ -36,6 +37,7 @@ __all__ = [
     "OptimizerOutcome",
     "RandomSearchConfig",
     "RandomSearchResult",
+    "SearchSummary",
     "StatePlan",
     "imcis_estimate",
     "imcis_from_sample",

@@ -144,7 +144,9 @@ class CandidateSpace:
                 self._base_max[obs_columns] = plan.pinned_log_max
             else:
                 plan.kind = SAMPLED
-                plan.sampler = DirichletRowSampler(support, center, lower, upper, dirichlet)
+                plan.sampler = DirichletRowSampler(
+                    support, center, lower, upper, dirichlet, state=state
+                )
             self.plans.append(plan)
 
         self.sampled_plans = [p for p in self.plans if p.kind == SAMPLED]
@@ -168,9 +170,15 @@ class CandidateSpace:
         """The round-0 candidate: the centre ``Â`` rows of sampled states."""
         return {p.state: p.center.copy() for p in self.sampled_plans}
 
-    def sample_rows(self, rng: np.random.Generator) -> dict[int, np.ndarray]:
-        """Draw one candidate (per-sampled-state feasible rows)."""
-        return {p.state: p.sampler.sample(rng) for p in self.sampled_plans}
+    def sample_rows(
+        self, rng: np.random.Generator, size: int | None = None
+    ) -> dict[int, np.ndarray]:
+        """Draw one candidate (per-sampled-state feasible rows).
+
+        With *size*, draws a block of that many independent candidates:
+        each state maps to a ``(size, support)`` array of rows.
+        """
+        return {p.state: p.sampler.sample(rng, size) for p in self.sampled_plans}
 
     def log_vectors(self, rows: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the ``(min-variant, max-variant)`` objective vectors.
@@ -178,11 +186,22 @@ class CandidateSpace:
         The two vectors share the sampled/constant entries and differ only
         on pinned columns.
         """
-        log_min = self._base_min.copy()
-        log_max = self._base_max.copy()
+        log_min, log_max = self.log_matrices({s: r[None, :] for s, r in rows.items()})
+        return log_min[:, 0], log_max[:, 0]
+
+    def log_matrices(self, rows: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Objective matrices ``(T × B)`` of a block of B candidates.
+
+        *rows* maps each sampled state to a ``(B, support)`` block (as
+        :meth:`sample_rows` returns with ``size=B``); column ``b`` of each
+        matrix is the :meth:`log_vectors` pair of candidate ``b``.
+        """
+        size = next(iter(rows.values())).shape[0] if rows else 1
+        log_min = np.repeat(self._base_min[:, None], size, axis=1)
+        log_max = np.repeat(self._base_max[:, None], size, axis=1)
         with np.errstate(divide="ignore"):
             for plan in self.sampled_plans:
-                logs = np.log(rows[plan.state][plan.obs_positions])
+                logs = np.log(rows[plan.state][:, plan.obs_positions]).T
                 log_min[plan.obs_columns] = logs
                 log_max[plan.obs_columns] = logs
         return log_min, log_max

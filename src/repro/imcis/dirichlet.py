@@ -29,9 +29,26 @@ then rejects rows falling outside the box (Algorithm 2, lines 5–11). Two
   (§IV-C-2 — note the paper's displayed formula drops the leading ``m_j'``
   factor; the version here is the one its own derivation (Eq. 12) gives).
 
-Draws are batched: each attempt round asks the generator for a block of
-Dirichlet vectors and tests them vectorised, which keeps the Python
-overhead per accepted row small even on heavily-rejecting rows.
+Draws are vectorised over a *block* of independent rows: one call to
+:meth:`DirichletRowSampler.sample` with ``size=B`` fills B feasible rows
+(one per search round of Algorithm 2) in a few NumPy passes. Each pass
+gives every still-empty row one batch of ``batch_size`` candidates at the
+current ``K·k_scale`` and keeps the first feasible one, so the law of an
+accepted row is unchanged from a one-row draw: the first feasible vector
+of a batch, retried batch by batch. Dirichlet vectors are normalised
+``standard_gamma`` draws; a draw whose gammas all underflow to zero (α at
+``alpha_floor``) is infeasible, never a NaN row. Two-scale rows draw their
+uniform coordinates elementwise across the block and their Dirichlet group
+from a per-row α. ``k_scale`` is fixed within a pass. The rows still empty
+after a pass have rejected one batch each, so between passes ``k_scale``
+is inflated by ``λ`` after every ``inflate_after`` such passes; after the
+block it decays once per accepted row. A one-row draw (``size=None``) is
+the block of size 1.
+
+:attr:`DirichletRowSampler.stats` counts every candidate vector drawn:
+``samples`` accepted rows plus ``rejections`` — the infeasible batch mates,
+the unused draws after a batch's winner, and each failed uniform pass of a
+two-scale row (one vector each).
 """
 
 from __future__ import annotations
@@ -99,18 +116,26 @@ class DirichletConfig:
             raise OptimizationError("batch_size must be positive")
 
 
-def aggregate_k(values: np.ndarray, strategy: str) -> float:
-    """Combine per-coordinate concentrations into ``K_i``."""
+def aggregate_k(values: np.ndarray, strategy: str, axis: int | None = None):
+    """Combine per-coordinate concentrations into ``K_i``.
+
+    With *axis* set, aggregates along it (one ``K`` per row of a block).
+    """
     if strategy == "min":
-        return float(values.min())
-    if strategy == "mean":
-        return float(values.mean())
-    return float(np.median(values))
+        result = np.min(values, axis=axis)
+    elif strategy == "mean":
+        result = np.mean(values, axis=axis)
+    else:
+        result = np.median(values, axis=axis)
+    return float(result) if axis is None else result
 
 
 @dataclass
 class RowSampleStats:
-    """Diagnostics accumulated across calls to :meth:`DirichletRowSampler.sample`."""
+    """Diagnostics accumulated across calls to :meth:`DirichletRowSampler.sample`.
+
+    ``samples + rejections`` is the number of candidate vectors drawn.
+    """
 
     samples: int = 0
     rejections: int = 0
@@ -130,6 +155,8 @@ class DirichletRowSampler:
         Interval bounds aligned with *support*.
     config:
         Tuning knobs; see :class:`DirichletConfig`.
+    state:
+        The chain state the row belongs to (named in error messages).
     """
 
     def __init__(
@@ -139,12 +166,14 @@ class DirichletRowSampler:
         lower: np.ndarray,
         upper: np.ndarray,
         config: DirichletConfig = DirichletConfig(),
+        state: int | None = None,
     ):
         self.support = np.asarray(support, dtype=int)
         self.center = np.asarray(center, dtype=float)
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         self.config = config
+        self.state = state
         self.stats = RowSampleStats()
         size = self.support.size
         if not (self.center.size == self.lower.size == self.upper.size == size):
@@ -177,10 +206,24 @@ class DirichletRowSampler:
             order = np.argsort(-k_values[outlier])
             self._uniform_idx = self._uniform_idx[order]
         self._group = free_idx[~outlier]
+        #: Candidate vectors one pass draws per row (a one-coordinate group
+        #: is fixed by its budget: one candidate).
+        self._batch = config.batch_size if self._group.size > 1 else 1
+        # Bounds on the mass of every coordinate drawn after each uniform
+        # one: the later uniform coordinates plus the Dirichlet group.
+        later = self._uniform_idx[:0:-1]
+        self._rest_lo = np.append(np.cumsum(self.lower[later])[::-1], 0.0) + float(
+            self.lower[self._group].sum()
+        )
+        self._rest_up = np.append(np.cumsum(self.upper[later])[::-1], 0.0) + float(
+            self.upper[self._group].sum()
+        )
         self._group_eps = eps_free[~outlier]
         self._group_centre = centre_free[~outlier]
-        self._group_lower = self.lower[self._group]
-        self._group_upper = self.upper[self._group]
+        # Feasibility bounds of the group (with the usual 1e-12 slack),
+        # shaped for the coordinate-major candidate blocks of _sample_group.
+        self._group_low = (self.lower[self._group] - 1e-12)[:, None, None]
+        self._group_high = (self.upper[self._group] + 1e-12)[:, None, None]
         self._base_k = aggregate_k(k_values[~outlier], config.k_strategy)
         self._fixed_mass = float(self.center[self._fixed].sum()) if np.any(self._fixed) else 0.0
         #: Learnt inflation multiplier (persists across calls, decays back).
@@ -205,70 +248,92 @@ class DirichletRowSampler:
         """The centre row ``â_i`` (the round-0 candidate of Algorithm 2)."""
         return self.center.copy()
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one feasible candidate row (aligned with ``support``)."""
-        cfg = self.config
-        values = np.empty_like(self.center)
-        values[self._fixed] = self.center[self._fixed]
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """Draw feasible candidate rows (aligned with ``support``).
 
+        ``size=None`` returns one row; an integer returns a ``(size,
+        support)`` block of independent rows, filled in vectorised passes
+        (see the module docstring). Raises :class:`OptimizationError` when
+        a row is still empty after ``max_attempts`` candidate vectors.
+        """
+        cfg = self.config
+        count = 1 if size is None else int(size)
+        rows = np.empty((count, self.support.size))
+        rows[:, self._fixed] = self.center[self._fixed]
+        pending = np.arange(count)
+        # Every pending row has taken part in every pass so far, so one
+        # attempt count and one rejected-batch run serve the whole block.
         attempts = 0
         rejected_batches = 0
-        while attempts < cfg.max_attempts:
+        while pending.size:
+            if attempts >= cfg.max_attempts:
+                where = "" if self.state is None else f" for state {self.state}"
+                raise OptimizationError(
+                    f"could not sample a feasible row{where} after {cfg.max_attempts} "
+                    f"attempts (support size {self.support.size}); the interval "
+                    "constraints may be nearly degenerate — consider raising max_attempts"
+                )
+            values = rows[pending]
             budget = self._sample_uniform_coords(rng, values)
-            if budget is None:
-                attempts += 1
-                continue
-            accepted = self._sample_group(rng, values, budget)
-            attempts += cfg.batch_size
-            if accepted:
-                self.stats.samples += 1
-                self._k_scale = max(1.0, self._k_scale * cfg.decay)
-                return values
-            rejected_batches += 1
-            self.stats.rejections += cfg.batch_size
-            if rejected_batches >= cfg.inflate_after:
-                self._k_scale *= cfg.inflation
-                self.stats.inflations += 1
-                rejected_batches = 0
-        raise OptimizationError(
-            f"could not sample a feasible row after {cfg.max_attempts} attempts "
-            f"(support size {self.support.size}); the interval constraints may be "
-            "nearly degenerate — consider raising max_attempts"
-        )
+            accepted, batched = self._sample_group(rng, values, budget)
+            n_accepted = int(np.count_nonzero(accepted))
+            drawn = batched * self._batch + (pending.size - batched)
+            self.stats.samples += n_accepted
+            self.stats.rejections += drawn - n_accepted
+            attempts += self._batch if batched else 1
+            rows[pending[accepted]] = values[accepted]
+            pending = pending[~accepted]
+            if batched > n_accepted:
+                rejected_batches += 1
+                if rejected_batches >= cfg.inflate_after:
+                    self._k_scale *= cfg.inflation
+                    self.stats.inflations += 1
+                    rejected_batches = 0
+        self._k_scale = max(1.0, self._k_scale * cfg.decay**count)
+        return rows[0] if size is None else rows
 
     # ------------------------------------------------------------------
-    def _sample_uniform_coords(self, rng: np.random.Generator, values: np.ndarray) -> float | None:
-        """Fill the uniform (outlier) coordinates; returns leftover budget."""
-        budget = 1.0 - self._fixed_mass
-        if self._uniform_idx.size == 0:
-            return budget
-        remaining = list(self._uniform_idx) + list(self._group)
+    def _sample_uniform_coords(self, rng: np.random.Generator, values: np.ndarray) -> np.ndarray:
+        """Fill the uniform (outlier) coordinates of every row of *values*.
+
+        Returns each row's leftover budget for the Dirichlet group, NaN
+        where a coordinate's consistent interval came out empty (a failed
+        pass).
+        """
+        budget = np.full(values.shape[0], 1.0 - self._fixed_mass)
         for pos, idx in enumerate(self._uniform_idx):
-            rest = remaining[pos + 1 :]
-            rest_lo = float(self.lower[rest].sum())
-            rest_up = float(self.upper[rest].sum())
-            low = max(float(self.lower[idx]), budget - rest_up)
-            high = min(float(self.upper[idx]), budget - rest_lo)
-            if low > high:
-                return None
-            value = rng.uniform(low, high)
-            values[idx] = value
-            budget -= value
+            low = np.maximum(self.lower[idx], budget - self._rest_up[pos])
+            high = np.minimum(self.upper[idx], budget - self._rest_lo[pos])
+            live = low <= high
+            budget[~live] = np.nan
+            value = rng.uniform(low[live], high[live])
+            values[live, idx] = value
+            budget[live] -= value
         return budget
 
-    def _sample_group(self, rng: np.random.Generator, values: np.ndarray, budget: float) -> bool:
-        """Fill the Dirichlet group from *budget*; True on success."""
+    def _sample_group(
+        self, rng: np.random.Generator, values: np.ndarray, budget: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Fill the Dirichlet group of every row from its *budget*.
+
+        Returns ``(accepted, batched)``: which rows got a feasible group,
+        and how many drew a batch at all (the rest failed their uniform
+        pass).
+        """
         group = self._group
-        if group.size == 0:
-            return abs(budget) <= 1e-9
+        cfg = self.config
         if group.size == 1:
             idx = group[0]
-            if self.lower[idx] - 1e-12 <= budget <= self.upper[idx] + 1e-12:
-                values[idx] = min(max(budget, self.lower[idx]), self.upper[idx])
-                return True
-            return False
-        if budget <= 0.0:
-            return False
+            live = ~np.isnan(budget)
+            fits = (budget >= self.lower[idx] - 1e-12) & (budget <= self.upper[idx] + 1e-12)
+            accepted = live & fits
+            values[accepted, idx] = np.clip(budget[accepted], self.lower[idx], self.upper[idx])
+            return accepted, int(np.count_nonzero(live))
+        accepted = np.zeros(values.shape[0], dtype=bool)
+        live = np.flatnonzero(budget > 0.0)  # NaN (failed uniform pass) compares False
+        if live.size == 0:
+            return accepted, 0
+        left = budget[live]
 
         centre = self._group_centre
         total_centre = float(centre.sum())
@@ -276,26 +341,31 @@ class DirichletRowSampler:
             centre = np.full(group.size, 1.0 / group.size)
             total_centre = 1.0
         if self.uses_two_scale_split:
-            means = budget * centre / total_centre
+            means = left[:, None] * centre / total_centre
             k_values = (
-                means * np.maximum(budget - means, 1e-15) / self._group_eps**2 - 1.0
-            ) / budget
-            k = max(
-                aggregate_k(np.maximum(k_values, self.config.min_k), self.config.k_strategy),
-                self.config.min_k,
+                means * np.maximum(left[:, None] - means, 1e-15) / self._group_eps**2 - 1.0
+            ) / left[:, None]
+            k = np.maximum(
+                aggregate_k(np.maximum(k_values, cfg.min_k), cfg.k_strategy, axis=1),
+                cfg.min_k,
             )
+            # One α per row: plane j of the draw below uses alpha[j, row].
+            alpha = np.maximum(k * self._k_scale * centre[:, None], cfg.alpha_floor)[:, :, None]
         else:
-            k = self._base_k
-        alpha = np.maximum(k * self._k_scale * centre, self.config.alpha_floor)
-        block = rng.dirichlet(alpha, size=self.config.batch_size)
-        candidates = budget * block
-        feasible = np.all(
-            (candidates >= self._group_lower - 1e-12)
-            & (candidates <= self._group_upper + 1e-12),
-            axis=1,
-        )
-        winners = np.flatnonzero(feasible)
-        if winners.size == 0:
-            return False
-        values[group] = candidates[winners[0]]
-        return True
+            alpha = np.maximum(self._base_k * self._k_scale * centre, cfg.alpha_floor)
+        # Coordinate-major (group, rows, batch): one gamma call per coordinate
+        # and cheap plane-wise reductions over the short group axis.
+        candidates = np.empty((group.size, live.size, cfg.batch_size))
+        for plane, shape in zip(candidates, alpha):
+            rng.standard_gamma(shape, out=plane)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # Normalise to the budget in place. An all-underflow draw (zero
+            # total) turns into NaNs, which fail both bounds below.
+            candidates *= left[:, None] / candidates.sum(axis=0)
+        feasible = ((candidates >= self._group_low) & (candidates <= self._group_high)).all(axis=0)
+        won = feasible.any(axis=1)
+        winners = live[won]
+        accepted[winners] = True
+        first = feasible[won].argmax(axis=1)
+        values[winners[:, None], group] = candidates[:, np.flatnonzero(won), first].T
+        return accepted, live.size

@@ -10,7 +10,8 @@ likelihood ratios are one sparse mat-vec,
 
     logL = N @ log_a − log P_B,
 
-and ``f = Σ exp(logL)``, ``g = Σ exp(2·logL)`` via log-sum-exp. Because the
+and ``f = Σ exp(logL)``, ``g = Σ exp(2·logL)`` via log-sum-exp; a block of
+B candidates (a ``T × B`` matrix) is one sparse mat-mat. Because the
 proposal's contribution was recorded per trace as a scalar, the objective is
 well-defined for *any* proposal — including time-inhomogeneous ones — and
 the candidate ``A`` is the only variable.
@@ -96,6 +97,22 @@ class ISObjective:
         if log_ratios.size == 0:
             return float("-inf")
         return float(logsumexp(log_ratios))
+
+    def log_f_columns(self, log_a: np.ndarray) -> np.ndarray:
+        """``log f`` at every column of a ``(T × B)`` block of candidates.
+
+        One sparse mat-mat and a row-wise log-sum-exp over a C-ordered
+        ``(B × traces)`` array, so each entry is bitwise equal to
+        :meth:`log_f` of that column.
+        """
+        if log_a.ndim != 2 or log_a.shape[0] != self.n_columns:
+            raise EstimationError(
+                f"candidate block has shape {log_a.shape}, expected ({self.n_columns}, B)"
+            )
+        if self._counts.shape[0] == 0:
+            return np.full(log_a.shape[1], float("-inf"))
+        log_ratios = np.ascontiguousarray(np.asarray(self._counts @ log_a).T) - self._log_b
+        return logsumexp(log_ratios, axis=1)
 
     def moments(self, log_a: np.ndarray) -> Moments:
         """``(log f, log g)`` at the candidate, for γ̂ and σ̂."""

@@ -8,6 +8,21 @@ after ``R_max`` rounds. The paper (§IV-A): the probability that the true
 minimum lies below the reported one is then at most ``1/R``, and the method
 converges almost surely (Spall 2003, Thm. 2.1).
 
+Rounds run in blocks. Each pass of the loop draws a block of B rounds —
+every sampled state fills B rows in one vectorised rejection draw
+(:meth:`~repro.imcis.dirichlet.DirichletRowSampler.sample` with
+``size=B``) — scores it with one sparse mat-mat per direction and a
+column-wise log-sum-exp (:meth:`~repro.imcis.objective.ISObjective.log_f_columns`),
+then replays the rounds in order against the running extremes. A block
+never runs past the stop: it holds at most ``R − undefeated`` rounds (the
+earliest round at which the ``R``-undefeated rule can fire) and at most
+``R_max − rounds``. The replay therefore stops at exactly the round the
+one-round loop would, and ``rounds_total``, ``rounds_to_min`` /
+``rounds_to_max`` (Table I's ``nr``), ``stopped_by`` and the history keep
+their one-round meaning. Only the order of the random draws differs from a
+one-round loop, which is why :data:`SEARCH_VERSION` is part of the store
+keys of IMCIS results.
+
 The per-round improvement history is recorded so the evolution of the
 confidence-interval bounds can be plotted (the paper's Figure 3).
 """
@@ -23,6 +38,14 @@ from repro.imcis.candidates import CandidateSpace
 from repro.imcis.dirichlet import DirichletConfig
 from repro.imcis.objective import ISObjective, Moments
 from repro.util.rng import ensure_rng
+
+
+#: Version of the search's random-draw order; bump it whenever a change
+#: makes the same seed produce a different search, so stored IMCIS results
+#: of the old order are never served.
+SEARCH_VERSION = 2
+#: Largest number of rounds drawn and scored in one block.
+BLOCK_ROUNDS = 128
 
 
 @dataclass(frozen=True)
@@ -79,6 +102,22 @@ class HistoryEntry:
     sigma_max: float
 
 
+@dataclass(frozen=True)
+class SearchSummary:
+    """The scalar diagnostics of one search — what a stored record keeps.
+
+    ``draws`` counts the Dirichlet candidate vectors drawn and
+    ``accepted`` the feasible rows kept (one per sampled state per round).
+    """
+
+    rounds_total: int
+    rounds_to_min: int
+    rounds_to_max: int
+    stopped_by: str
+    draws: int
+    accepted: int
+
+
 @dataclass
 class RandomSearchResult:
     """Outcome of Algorithm 2.
@@ -98,11 +137,25 @@ class RandomSearchResult:
     rounds_to_max: int
     stopped_by: str
     history: list[HistoryEntry] = field(default_factory=list)
+    #: Dirichlet candidate vectors drawn, and rows accepted, by the search.
+    draws: int = 0
+    accepted: int = 0
 
     @property
     def rounds_to_converge(self) -> int:
         """Last round at which either extreme improved (``nr``)."""
         return max(self.rounds_to_min, self.rounds_to_max)
+
+    def summary(self) -> SearchSummary:
+        """The search's scalar diagnostics (rows and history dropped)."""
+        return SearchSummary(
+            rounds_total=self.rounds_total,
+            rounds_to_min=self.rounds_to_min,
+            rounds_to_max=self.rounds_to_max,
+            stopped_by=self.stopped_by,
+            draws=self.draws,
+            accepted=self.accepted,
+        )
 
 
 def random_search(
@@ -111,7 +164,12 @@ def random_search(
     rng: np.random.Generator | int | None = None,
     config: RandomSearchConfig = RandomSearchConfig(),
 ) -> RandomSearchResult:
-    """Run Algorithm 2 over *space*, optimising *objective* both ways."""
+    """Run Algorithm 2 over *space*, optimising *objective* both ways.
+
+    Rounds are drawn, scored and replayed in blocks (see the module
+    docstring); the result is what the one-round loop would report for
+    the same candidates.
+    """
     generator = ensure_rng(rng)
 
     center_rows = space.center_rows()
@@ -136,43 +194,56 @@ def random_search(
 
     record(0)
 
+    stats = [plan.sampler.stats for plan in space.sampled_plans]
+    accepted_before = sum(st.samples for st in stats)
+    draws_before = accepted_before + sum(st.rejections for st in stats)
     undefeated = 0
     rounds = 0
     rounds_to_min = 0
     rounds_to_max = 0
-    stopped_by = "r_undefeated"
     if space.n_sampled_states == 0:
         # Nothing to search: constants and pinned rows fully determine the
         # extremes (e.g. every visited state saw a single transition).
         stopped_by = "no-free-rows"
     else:
-        while undefeated < config.r_undefeated:
+        while True:
+            if undefeated >= config.r_undefeated:
+                stopped_by = "r_undefeated"
+                break
             if rounds >= config.max_rounds:
                 stopped_by = "max_rounds"
                 break
-            rounds += 1
-            candidate = space.sample_rows(generator)
-            cand_min_vec, cand_max_vec = space.log_vectors(candidate)
-            value_min = objective.log_f(cand_min_vec)
-            value_max = objective.log_f(cand_max_vec)
-            improved = False
-            if value_min < best_min:
-                best_min = value_min
-                best_min_vec = cand_min_vec
-                rows_min = {s: r.copy() for s, r in candidate.items()}
-                rounds_to_min = rounds
-                improved = True
-            if value_max > best_max:
-                best_max = value_max
-                best_max_vec = cand_max_vec
-                rows_max = {s: r.copy() for s, r in candidate.items()}
-                rounds_to_max = rounds
-                improved = True
-            if improved:
-                undefeated = 0
-                record(rounds)
-            else:
-                undefeated += 1
+            size = min(
+                BLOCK_ROUNDS, config.r_undefeated - undefeated, config.max_rounds - rounds
+            )
+            block = space.sample_rows(generator, size)
+            block_min, block_max = space.log_matrices(block)
+            values_min = objective.log_f_columns(block_min)
+            values_max = objective.log_f_columns(block_max)
+            for j, (value_min, value_max) in enumerate(
+                zip(values_min.tolist(), values_max.tolist())
+            ):
+                rounds += 1
+                improved = False
+                if value_min < best_min:
+                    best_min = value_min
+                    best_min_vec = block_min[:, j].copy()
+                    rows_min = {s: r[j].copy() for s, r in block.items()}
+                    rounds_to_min = rounds
+                    improved = True
+                if value_max > best_max:
+                    best_max = value_max
+                    best_max_vec = block_max[:, j].copy()
+                    rows_max = {s: r[j].copy() for s, r in block.items()}
+                    rounds_to_max = rounds
+                    improved = True
+                if improved:
+                    undefeated = 0
+                    record(rounds)
+                else:
+                    undefeated += 1
+    accepted = sum(st.samples for st in stats) - accepted_before
+    draws = sum(st.samples + st.rejections for st in stats) - draws_before
 
     if config.refine_rounds > 0 and space.n_sampled_states > 0:
         from repro.imcis.refine import refine_extreme
@@ -222,4 +293,6 @@ def random_search(
         rounds_to_max=rounds_to_max,
         stopped_by=stopped_by,
         history=history,
+        draws=draws,
+        accepted=accepted,
     )

@@ -35,7 +35,9 @@ def _sampler_at(
     width = plan.upper - plan.lower
     safe = np.clip(center, plan.lower + 1e-12 * width, plan.upper - 1e-12 * width)
     safe = safe / safe.sum()
-    return DirichletRowSampler(plan.support, safe, plan.lower, plan.upper, config)
+    return DirichletRowSampler(
+        plan.support, safe, plan.lower, plan.upper, config, state=plan.state
+    )
 
 
 def refine_extreme(

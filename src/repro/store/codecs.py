@@ -13,15 +13,19 @@ The IMCIS codec intentionally drops the random-search trace
 diagnostic — row assignments and improvement history — that no experiment
 artifact aggregates, and it dwarfs the scalar results it accompanies. A
 decoded result therefore has ``search=None``; everything the coverage,
-Table II and figure artifacts read is preserved exactly. The
-cross-entropy codec similarly drops the refined proposal chain (a decoded
-estimate has ``proposal=None``): the scalar results and per-round
-diagnostics are what the matrix artifacts aggregate.
+Table II and figure artifacts read is preserved exactly. The search's
+scalar diagnostics — rounds, stop reason, Dirichlet draws — have a codec
+of their own (:func:`encode_imcis_search`), which the matrix keeps with
+each ``imcis`` repetition. The cross-entropy codec similarly drops the
+refined proposal chain (a decoded estimate has ``proposal=None``): the
+scalar results and per-round diagnostics are what the matrix artifacts
+aggregate.
 """
 
 from __future__ import annotations
 
 from repro.imcis.algorithm import IMCISResult
+from repro.imcis.random_search import SearchSummary
 from repro.importance.cross_entropy import CrossEntropyEstimate
 from repro.importance.imc import IMCEstimate
 from repro.smc.results import ConfidenceInterval, EstimationResult
@@ -31,11 +35,13 @@ __all__ = [
     "decode_estimation_result",
     "decode_imc_estimate",
     "decode_imcis_result",
+    "decode_imcis_search",
     "decode_interval",
     "encode_ce_estimate",
     "encode_estimation_result",
     "encode_imc_estimate",
     "encode_imcis_result",
+    "encode_imcis_search",
     "encode_interval",
 ]
 
@@ -164,4 +170,28 @@ def decode_imcis_result(payload: "dict[str, object]") -> IMCISResult:
         n_total=payload["n_total"],
         n_satisfied=payload["n_satisfied"],
         n_undecided=payload["n_undecided"],
+    )
+
+
+def encode_imcis_search(summary: SearchSummary) -> "dict[str, object]":
+    """Encode a :class:`~repro.imcis.random_search.SearchSummary` (lossless)."""
+    return {
+        "rounds_total": summary.rounds_total,
+        "rounds_to_min": summary.rounds_to_min,
+        "rounds_to_max": summary.rounds_to_max,
+        "stopped_by": summary.stopped_by,
+        "draws": summary.draws,
+        "accepted": summary.accepted,
+    }
+
+
+def decode_imcis_search(payload: "dict[str, object]") -> SearchSummary:
+    """Invert :func:`encode_imcis_search`."""
+    return SearchSummary(
+        rounds_total=payload["rounds_total"],
+        rounds_to_min=payload["rounds_to_min"],
+        rounds_to_max=payload["rounds_to_max"],
+        stopped_by=payload["stopped_by"],
+        draws=payload["draws"],
+        accepted=payload["accepted"],
     )

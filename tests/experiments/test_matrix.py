@@ -162,6 +162,81 @@ class TestCellKeys:
             self.make_context("imc", imc_batches=8), 11
         )
 
+    @staticmethod
+    def pre_search_version_key(context: _CellContext, seed: int) -> str:
+        """``_cell_key`` as it was before the search version joined it."""
+        from repro.store.keys import code_versions, config_key, describe_study, seed_entropy
+
+        ce_params = imc_params = None
+        if context.estimator == "ce":
+            ce_params = {
+                "rounds": context.ce_rounds,
+                "refine_fraction": context.ce_refine_fraction,
+                "smoothing": context.ce_smoothing,
+                "support_floor": context.ce_support_floor,
+            }
+        if context.estimator == "imc":
+            imc_params = {
+                "batches": context.imc_batches,
+                "ess_target": context.imc_ess_target,
+                "replica_budget": context.imc_replica_budget,
+            }
+        study = context.prepared
+        return config_key(
+            {
+                "kind": "matrix-cell",
+                "study": describe_study(study.study, study.unrolled_proposal),
+                "estimator": context.estimator,
+                "n_samples": context.n_samples,
+                "confidence": context.confidence,
+                "search_rounds": context.search_rounds if context.estimator == "imcis" else None,
+                "ce": ce_params,
+                "imc": imc_params,
+                "backend": context.backend or "auto",
+                "seed_entropy": seed_entropy(seed),
+                "versions": code_versions(),
+            }
+        )
+
+    def test_search_version_keys_only_imcis_cells(self):
+        for name in ESTIMATOR_NAMES:
+            context = self.make_context(name)
+            unchanged = _cell_key(context, 11) == self.pre_search_version_key(context, 11)
+            assert unchanged == (name != "imcis"), name
+
+    def test_old_imcis_records_are_never_served(self, tmp_path):
+        from repro.experiments.matrix import _encode_cell_outcome, _matrix_repetition
+        from repro.store import ArtifactStore
+        from repro.util.rng import spawn_seeds
+
+        config = replace(
+            QUICK_CONFIG, studies=("illustrative",), estimators=("imcis",), repetitions=2
+        )
+        prepared = REGISTRY.make_study("illustrative", rng=config.seed, quick=True)
+        context = self.make_context(
+            "imcis", prepared=prepared, n_samples=config.n_samples, confidence=0.95
+        )
+        old = _matrix_repetition(context, spawn_seeds(config.seed, 1)[0])
+        stale = _encode_cell_outcome(replace(old, estimate=0.5, detail=None))
+        store = ArtifactStore(tmp_path)
+        store.put(self.pre_search_version_key(context, config.seed), {0: stale, 1: stale})
+        served = run_matrix(config, store=store)
+        assert (store.stats.hits, store.stats.misses) == (0, 2)
+        assert served.to_csv_text() == run_matrix(config).to_csv_text()
+
+    def test_imcis_records_carry_search_diagnostics(self):
+        from repro.experiments.matrix import _matrix_repetition
+        from repro.store.codecs import decode_imcis_search
+        from repro.util.rng import spawn_seeds
+
+        prepared = REGISTRY.make_study("knuth-yao", rng=0, quick=True)
+        context = self.make_context("imcis", prepared=prepared)
+        outcome = _matrix_repetition(context, spawn_seeds(11, 1)[0])
+        search = decode_imcis_search(outcome.detail)
+        assert search.stopped_by == "r_undefeated"
+        assert search.rounds_total - max(search.rounds_to_min, search.rounds_to_max) == 60
+        assert 0 < search.accepted <= search.draws
+
     def test_estimators_never_collide(self):
         keys = {_cell_key(self.make_context(name), 11) for name in ESTIMATOR_NAMES}
         assert len(keys) == len(ESTIMATOR_NAMES)

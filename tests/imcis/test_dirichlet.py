@@ -155,3 +155,140 @@ def test_sampled_rows_always_feasible(seed, size):
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(row >= lower - 1e-9)
         assert np.all(row <= upper + 1e-9)
+
+
+class CountingRng:
+    """A generator that counts the gamma variates a row sampler draws.
+
+    Every Dirichlet candidate is ``group size`` gammas, so the number of
+    candidate vectors drawn is ``gamma_variates / group size``.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.gamma_variates = 0
+
+    def uniform(self, low, high):
+        return self._rng.uniform(low, high)
+
+    def standard_gamma(self, shape, size=None, out=None):
+        result = self._rng.standard_gamma(shape, size=size, out=out)
+        self.gamma_variates += result.size
+        return result
+
+
+class TestDrawAccounting:
+    """``samples + rejections`` is the number of candidate vectors drawn."""
+
+    def test_counts_every_dirichlet_vector(self):
+        sampler = sampler_for([0.05, 0.15, 0.3, 0.5], [0.02, 0.04, 0.06, 0.08])
+        rng = CountingRng(1)
+        for size in (None, 7, 50):
+            sampler.sample(rng, size=size)
+        stats = sampler.stats
+        assert stats.samples == 58
+        assert stats.rejections > 0
+        assert stats.samples + stats.rejections == rng.gamma_variates // 4
+
+    def test_counts_two_scale_vectors(self):
+        sampler = sampler_for(
+            [0.5, 0.3, 0.2], [1e-3, 0.08, 0.08], DirichletConfig(outlier_ratio=50.0)
+        )
+        rng = CountingRng(2)
+        sampler.sample(rng, size=30)
+        stats = sampler.stats
+        assert stats.samples == 30
+        # The uniform coordinate is split off: the group has two coordinates.
+        assert stats.samples + stats.rejections == rng.gamma_variates // 2
+
+    def test_failed_uniform_pass_counts_one_vector(self):
+        # The first uniform coordinate cannot fit: the other two rows hold
+        # at most 0.45 of the mass, so it would need at least 0.55.
+        config = DirichletConfig(outlier_ratio=50.0, max_attempts=40)
+        sampler = DirichletRowSampler(
+            np.arange(3),
+            np.array([0.5, 0.3, 0.2]),
+            np.array([0.499, 0.22, 0.12]),
+            np.array([0.501, 0.25, 0.2]),
+            config,
+        )
+        assert sampler.uses_two_scale_split
+        with pytest.raises(OptimizationError, match="after 40 attempts"):
+            sampler.sample(np.random.default_rng(0), size=5)
+        assert sampler.stats.samples == 0
+        assert sampler.stats.rejections == 5 * 40
+
+
+class TestRobustness:
+    def test_exhaustion_names_state_and_support(self):
+        # Both coordinates must be at least 0.6: no distribution fits.
+        sampler = DirichletRowSampler(
+            np.array([3, 8]),
+            np.array([0.5, 0.5]),
+            np.array([0.6, 0.6]),
+            np.array([0.7, 0.7]),
+            DirichletConfig(max_attempts=64),
+            state=7,
+        )
+        with pytest.raises(OptimizationError, match=r"state 7.*support size 2"):
+            sampler.sample(np.random.default_rng(0), size=16)
+
+    def test_candidate_space_labels_samplers_with_their_state(self):
+        from repro.core import DTMC, IMC, TransitionCounts
+        from repro.imcis import CandidateSpace, ObservationTables
+        from repro.importance.estimator import ISSample
+
+        matrix = np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        imc = IMC.from_center(DTMC(matrix, 0), 0.1 * (matrix > 0) * (matrix < 1))
+        paths = [[0, 1], [0, 2]]
+        sample = ISSample(
+            n_total=2,
+            counts=[TransitionCounts.from_path(p) for p in paths],
+            log_proposal=[0.0, 0.0],
+        )
+        space = CandidateSpace(imc, ObservationTables.from_sample(sample))
+        assert [p.sampler.state for p in space.sampled_plans] == [0]
+
+    def test_underflowing_gammas_are_rejected_never_nan(self):
+        # K clamps to 1e-12, so every α sits at alpha_floor (1e-8) and the
+        # gammas underflow to zero: such a draw has no direction at all.
+        config = DirichletConfig(min_k=1e-12, max_attempts=160)
+        sampler = DirichletRowSampler(
+            np.arange(2), np.array([0.5, 0.5]), np.zeros(2), np.ones(2), config
+        )
+        rng = CountingRng(0)
+        with np.errstate(all="raise"), pytest.raises(OptimizationError):
+            sampler.sample(rng, size=4)
+        assert sampler.stats.samples == 0
+        assert sampler.stats.rejections == rng.gamma_variates // 2 > 0
+
+
+class TestBlocks:
+    def test_block_shape_and_feasibility(self, rng):
+        sampler = sampler_for([0.3, 0.5, 0.2], [0.05, 0.05, 0.05])
+        block = sampler.sample(rng, size=40)
+        assert block.shape == (40, 3)
+        assert np.allclose(block.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(block >= sampler.lower - 1e-9)
+        assert np.all(block <= sampler.upper + 1e-9)
+        # Rows of a block are independent draws, not copies.
+        assert np.unique(block[:, 0]).size == 40
+
+    def test_single_row_is_a_block_of_one(self):
+        one = sampler_for([0.3, 0.5, 0.2], [0.05, 0.05, 0.05])
+        block = sampler_for([0.3, 0.5, 0.2], [0.05, 0.05, 0.05])
+        row = one.sample(np.random.default_rng(3))
+        rows = block.sample(np.random.default_rng(3), size=1)
+        assert row.shape == (3,)
+        assert np.array_equal(row, rows[0])
+
+    def test_two_scale_block_feasible(self, rng):
+        sampler = sampler_for(
+            [0.5, 0.3, 0.2], [1e-3, 0.08, 0.08], DirichletConfig(outlier_ratio=50.0)
+        )
+        block = sampler.sample(rng, size=64)
+        assert np.allclose(block.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(block >= sampler.lower - 1e-9)
+        assert np.all(block <= sampler.upper + 1e-9)
+        # The uniform coordinate is drawn per row, not once per block.
+        assert np.unique(block[:, 0]).size == 64

@@ -107,3 +107,60 @@ class TestSearch:
         r2 = random_search(objective2, space2, 77, RandomSearchConfig(r_undefeated=100))
         assert r1.moments_min.gamma == r2.moments_min.gamma
         assert r1.rounds_total == r2.rounds_total
+
+
+class TestBlocks:
+    """Rounds are drawn and scored in blocks but keep their one-round meaning."""
+
+    def test_block_scores_equal_one_candidate_scores(self, rng):
+        objective, space, _ = setup_problem()
+        block = space.sample_rows(rng, 9)
+        block_min, block_max = space.log_matrices(block)
+        values_min = objective.log_f_columns(block_min)
+        values_max = objective.log_f_columns(block_max)
+        for j in range(9):
+            log_min, log_max = space.log_vectors({s: r[j] for s, r in block.items()})
+            assert np.array_equal(block_min[:, j], log_min)
+            assert np.array_equal(block_max[:, j], log_max)
+            assert values_min[j] == objective.log_f(log_min)
+            assert values_max[j] == objective.log_f(log_max)
+
+    def test_log_f_columns_checks_shape(self):
+        objective, _, _ = setup_problem()
+        with pytest.raises(Exception, match="candidate block"):
+            objective.log_f_columns(np.zeros(objective.n_columns))
+
+    @pytest.mark.parametrize("r_undefeated", [1, 7, 50, 300])
+    def test_stops_exactly_r_rounds_after_last_improvement(self, r_undefeated):
+        objective, space, _ = setup_problem()
+        result = random_search(
+            objective, space, 5, RandomSearchConfig(r_undefeated=r_undefeated)
+        )
+        assert result.stopped_by == "r_undefeated"
+        assert result.rounds_total - result.rounds_to_converge == r_undefeated
+
+    def test_max_rounds_cap_is_exact(self):
+        objective, space, _ = setup_problem()
+        config = RandomSearchConfig(r_undefeated=150, max_rounds=151)
+        result = random_search(objective, space, 3, config)
+        assert result.stopped_by == "max_rounds"
+        assert result.rounds_total == 151
+        assert result.history[-1].round == 151
+
+    def test_history_rounds_match_improvements(self):
+        objective, space, _ = setup_problem()
+        result = random_search(objective, space, 11, RandomSearchConfig(r_undefeated=200))
+        improving = [h.round for h in result.history[1:-1]]
+        assert improving == sorted(set(improving))
+        assert result.rounds_to_converge == improving[-1]
+        # Each recorded round is an improvement of at least one extreme.
+        for before, after in zip(result.history, result.history[1:-1]):
+            assert after.gamma_min < before.gamma_min or after.gamma_max > before.gamma_max
+
+    def test_draw_totals_reported(self):
+        objective, space, _ = setup_problem()
+        result = random_search(objective, space, 2, RandomSearchConfig(r_undefeated=40))
+        stats = [p.sampler.stats for p in space.sampled_plans]
+        assert result.accepted == sum(s.samples for s in stats)
+        assert result.accepted == result.rounds_total * space.n_sampled_states
+        assert result.draws == result.accepted + sum(s.rejections for s in stats)

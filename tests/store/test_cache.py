@@ -1,9 +1,12 @@
 """Tests of the cache-aware repetition fan-out and the result codecs."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.imcis.algorithm import IMCISResult
+from repro.imcis.random_search import SearchSummary
 from repro.importance import CrossEntropyEstimate, IMCEstimate
 from repro.smc.results import ConfidenceInterval, EstimationResult
 from repro.store.cache import map_repetitions_cached
@@ -12,11 +15,13 @@ from repro.store.codecs import (
     decode_estimation_result,
     decode_imc_estimate,
     decode_imcis_result,
+    decode_imcis_search,
     decode_interval,
     encode_ce_estimate,
     encode_estimation_result,
     encode_imc_estimate,
     encode_imcis_result,
+    encode_imcis_search,
     encode_interval,
 )
 from repro.store.store import ArtifactStore
@@ -139,6 +144,19 @@ class TestCodecs:
         assert decoded.center_estimate.ess == center.ess
         assert decoded.search is None
         assert decoded.mid_value == result.mid_value
+
+    def test_imcis_search_round_trip(self):
+        summary = SearchSummary(
+            rounds_total=412,
+            rounds_to_min=137,
+            rounds_to_max=312,
+            stopped_by="r_undefeated",
+            draws=91_233,
+            accepted=1_648,
+        )
+        payload = encode_imcis_search(summary)
+        assert json.loads(json.dumps(payload)) == payload
+        assert decode_imcis_search(json.loads(json.dumps(payload))) == summary
 
     def test_ce_estimate_round_trip_drops_proposal(self):
         result = EstimationResult(
