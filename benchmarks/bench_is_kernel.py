@@ -6,8 +6,10 @@ replacing the per-trace transition-count dict tables the classic path
 materialises and walks. This benchmark measures the end-to-end IS
 estimation pipeline (sampling + weighting + interval) both ways:
 
-* ``classic``: ``backend="vectorized"``, per-trace dict count tables,
-  ``log_weights`` walks each table against the original chain;
+* ``classic``: kernel simulation keeping count tables, materialised as
+  per-trace dicts (``sample.counts``) and walked one by one against the
+  original chain (:meth:`~repro.core.dtmc.DTMC.counts_log_probability`);
+  estimate, interval and ESS follow from those log weights;
 * ``fused``: ``backend="kernel"``, ``original=`` the target chain and
   ``keep_counts=False`` — weights come out of the in-loop accumulator.
 
@@ -41,9 +43,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.importance.estimator import estimate_from_sample, run_importance_sampling
+from repro.importance.estimator import (
+    ess_from_log_weights,
+    estimate_from_sample,
+    moments_from_log_weights,
+    run_importance_sampling,
+)
 from repro.models import illustrative
+from repro.smc.intervals import normal_ci
 from repro.smc.kernels import kernel_runtime_info
+from repro.smc.results import EstimationResult
 
 #: Relative tolerance of the classic-vs-fused parity gate; the two paths
 #: sum the same per-transition log terms in different IEEE orders.
@@ -64,6 +73,28 @@ def _close(a: float, b: float) -> bool:
     return bool(np.isclose(a, b, rtol=PARITY_RTOL, atol=1e-12))
 
 
+def _classic_estimate(target, sample) -> EstimationResult:
+    """IS estimate from a walk over every trace's dict count table."""
+    log_w = np.array(
+        [
+            target.counts_log_probability(counts) - log_b
+            for counts, log_b in zip(sample.counts, sample.log_proposal)
+        ],
+        dtype=np.float64,
+    )
+    gamma, std_dev = moments_from_log_weights(log_w, sample.n_total)
+    return EstimationResult(
+        estimate=gamma,
+        std_dev=std_dev,
+        n_samples=sample.n_total,
+        interval=normal_ci(gamma, std_dev, sample.n_total),
+        n_satisfied=sample.n_satisfied,
+        n_undecided=sample.n_undecided,
+        method="importance-sampling",
+        ess=ess_from_log_weights(log_w),
+    )
+
+
 def _run_path(
     target, proposal, formula, n: int, seed: int, *, fused: bool, workers=None
 ):
@@ -74,11 +105,9 @@ def _run_path(
             proposal, formula, n, rng, backend="kernel",
             workers=workers, original=target, keep_counts=False,
         )
-    else:
-        sample = run_importance_sampling(
-            proposal, formula, n, rng, backend="vectorized", workers=workers
-        )
-    return estimate_from_sample(target, sample)
+        return estimate_from_sample(target, sample)
+    sample = run_importance_sampling(proposal, formula, n, rng, backend="kernel")
+    return _classic_estimate(target, sample)
 
 
 def _time_path(target, proposal, formula, n, seed, repeats, *, fused):

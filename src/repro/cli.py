@@ -55,6 +55,7 @@ from repro.models.registry import REGISTRY
 from repro.obs import trace as obs_trace
 from repro.obs.runprofile import RunProfile
 from repro.service import ServiceClient, ServiceConfig, create_server
+from repro.smc.engine import BACKEND_NAMES
 from repro.smc.kernels import kernel_runtime_info
 from repro.store import ArtifactStore, RunManifest
 
@@ -100,14 +101,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["auto", "sequential", "vectorized", "kernel", "parallel"],
+        choices=BACKEND_NAMES,
         default="auto",
-        help="simulation engine: 'auto' (default) picks the compiled "
-        "kernel tier where the property's monitor supports it, the "
-        "lockstep-ensemble NumPy backend otherwise; or force the kernel "
-        "tier, the vectorized engine, the scalar reference loop, or the "
-        "process-pool sharded engine; every tier falls back to "
-        "sequential for properties that do not compile to masks",
+        help="simulation engine: 'auto' (default) and 'kernel' run the "
+        "lockstep kernel engine where the property compiles to masks and "
+        "the scalar reference loop otherwise; 'sequential' forces the "
+        "scalar loop and 'parallel' shards batches across a process pool",
     )
     parser.add_argument(
         "--workers",

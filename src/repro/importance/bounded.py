@@ -28,7 +28,6 @@ from scipy import sparse
 
 from repro.analysis.graph import prob0_states
 from repro.core.dtmc import DTMC
-from repro.core.paths import TransitionCounts
 from repro.errors import EstimationError
 from repro.importance.estimator import ISSample
 from repro.properties.logic import Atom, Eventually, Formula, UntilSpec
@@ -78,18 +77,11 @@ class UnrolledProposal:
     formula: Formula
     futility: FutilityMask
 
-    def project_counts(self, counts: TransitionCounts) -> TransitionCounts:
-        """Map unrolled transition counts back to original-chain pairs."""
-        n = self.n_original
-        projected = TransitionCounts()
-        for (u, v), times in counts.items():
-            projected.record(u % n, v % n, times)
-        return projected
-
     def state_map(self) -> np.ndarray:
-        """Array form of the unrolling projection: ``t·n + s → s``.
+        """The unrolling projection ``t·n + s → s`` as an array.
 
-        Used both to project array-native counts and as the
+        Used both to project sampled counts (through
+        :meth:`~repro.smc.kernels.TraceCounts.map_states`) and as the
         ``weight_state_map`` for fused weights (every transition a live
         trace takes maps to an original-chain transition; the decided
         states' self-loops are never taken by live traces).
@@ -197,7 +189,7 @@ def run_bounded_importance_sampling(
     over the *original* chain's transitions and can be fed to
     ``estimate_from_sample`` and ``imcis_from_sample`` unchanged. The
     unrolled chain is an ordinary (sparse) DTMC, so the batch engine's
-    kernel and vectorized backends apply to it like any other — and
+    kernel backend applies to it like any other — and
     *workers* shards the ensemble across a process pool like any other.
 
     Passing *original* fuses the IS numerator into the simulation loop
@@ -235,7 +227,6 @@ def run_bounded_importance_sampling(
         )
     return ISSample.from_ensemble(
         sampler.sample_ensemble(n_samples, generator),
-        project=proposal.project_counts,
         state_map=proposal.state_map(),
         n_states=proposal.n_original,
         weight_chain=original,

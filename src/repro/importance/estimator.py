@@ -47,16 +47,16 @@ class ISSample:
 
     * ``log_numerator`` — fused log probabilities under ``weight_chain``
       (the IS numerator, accumulated inside the simulation loop);
-    * ``count_arrays`` — array-native transition counts
+    * ``count_arrays`` — the transition counts every engine emits
       (:class:`~repro.smc.kernels.TraceCounts`, one COO block for the
       whole sample);
     * :attr:`counts` — classic per-trace dict tables, materialized
       lazily from ``count_arrays`` when first accessed (the Table I/II
-      output path, and what IMCIS's observation tables historically
-      consumed).
+      and cross-entropy path), or passed in directly to build
+      observation-table fixtures.
 
-    :func:`log_weights` picks the fastest representation that can serve
-    the requested original chain.
+    :func:`log_weights` serves a chain from the first two; dict tables
+    alone are not enough to weight a sample.
     """
 
     def __init__(
@@ -118,7 +118,6 @@ class ISSample:
     def from_ensemble(
         cls,
         batch,
-        project=None,
         state_map: "np.ndarray | None" = None,
         n_states: "int | None" = None,
         weight_chain: "DTMC | None" = None,
@@ -126,12 +125,10 @@ class ISSample:
         """Build a sample from an engine :class:`EnsembleResult`.
 
         *batch* must have been simulated with ``record_log_prob=True``
-        and carry per-trace data in some form: dict count tables,
-        array-native counts, or fused log-numerators. *project*
-        optionally maps each dict count table (e.g. unrolled-chain counts
-        back onto the original chain); *state_map*/*n_states* are the
-        array-native equivalent, projecting ``count_arrays`` through
-        ``state → state_map[state]``. *weight_chain* records which chain
+        and carry per-trace data: count arrays, fused log-numerators or
+        both. *state_map*/*n_states* optionally project ``count_arrays``
+        through ``state → state_map[state]`` (e.g. unrolled-chain counts
+        back onto the original chain). *weight_chain* records which chain
         the batch's fused ``log_numerators`` were accumulated against.
         """
         if batch.log_proposals is None:
@@ -139,23 +136,15 @@ class ISSample:
                 "the batch was simulated without log-proposal probabilities; "
                 "sample with record_log_prob=True"
             )
-        has_counts = batch.count_tables is not None or batch.count_arrays is not None
-        if not has_counts and batch.log_numerators is None:
+        if batch.count_arrays is None and batch.log_numerators is None:
             raise EstimationError(
                 "the batch was simulated without count tables or log-proposal "
                 "probabilities; sample with count_mode='satisfied' and "
                 "record_log_prob=True"
             )
         sat_idx = np.flatnonzero(batch.satisfied)
-        counts = None
         arrays = None
-        if batch.count_tables is not None:
-            counts = []
-            for k in sat_idx.tolist():
-                table = batch.count_tables[k]
-                assert table is not None
-                counts.append(table if project is None else project(table))
-        elif batch.count_arrays is not None:
+        if batch.count_arrays is not None:
             arrays = batch.count_arrays.select(sat_idx)
             if state_map is not None:
                 if n_states is None:
@@ -168,7 +157,6 @@ class ISSample:
         )
         return cls(
             n_total=batch.n_samples,
-            counts=counts,
             log_proposal=batch.log_proposals[sat_idx].tolist(),
             n_undecided=batch.n_undecided,
             mean_length=batch.mean_length,
@@ -211,7 +199,7 @@ def run_importance_sampling(
     to the worker count.
 
     Passing *original* fuses the IS numerator into the simulation loop on
-    lockstep backends — :func:`log_weights` against that chain then costs
+    the lockstep engine — :func:`log_weights` against that chain then costs
     one array subtraction instead of a per-trace table walk. With
     ``keep_counts=False`` the per-trace tables are dropped entirely (the
     fastest path, enough for a single-chain estimate); the sample then
@@ -256,16 +244,19 @@ def run_importance_sampling(
 def log_weights(original: DTMC, sample: ISSample) -> np.ndarray:
     """Per-successful-trace ``log L_k`` against *original*.
 
-    Served from the fastest representation the sample carries for
-    *original*: fused ``log_numerator`` arrays when the sample was drawn
-    with that exact chain fused in, array-native
-    :meth:`~repro.smc.kernels.TraceCounts.trace_log_probs` next, and the
-    classic per-trace dict walk last. All three compute
+    Served from fused ``log_numerator`` arrays when the sample was drawn
+    with that exact chain fused in, and from
+    :meth:`~repro.smc.kernels.TraceCounts.trace_log_probs` over the
+    sample's ``count_arrays`` otherwise. Both compute
     ``Σ n_ij log a_ij − log P_B(ω)`` — identical up to floating-point
     summation order (the fused path adds ``log a_ij`` step by step in
-    simulation time; the count paths sum ``n_ij · log a_ij`` over the
+    simulation time; the count path sums ``n_ij · log a_ij`` over the
     distinct transitions of each trace), so estimates agree to a few ULPs
     but not necessarily bitwise across representations.
+
+    Raises :class:`~repro.errors.EstimationError` when the sample can
+    serve *original* from neither, e.g. a fused-only sample asked for a
+    different chain, or a sample built from dict tables alone.
     """
     lognum = getattr(sample, "log_numerator", None)
     if lognum is not None and original is sample.weight_chain:
@@ -273,18 +264,16 @@ def log_weights(original: DTMC, sample: ISSample) -> np.ndarray:
             raise EstimationError(_ABS_CONTINUITY_ERROR)
         return lognum - np.asarray(sample.log_proposal, dtype=np.float64)
     arrays = getattr(sample, "count_arrays", None)
-    if arrays is not None:
-        log_a = arrays.trace_log_probs(original)
-        if np.isneginf(log_a).any():
-            raise EstimationError(_ABS_CONTINUITY_ERROR)
-        return log_a - np.asarray(sample.log_proposal, dtype=np.float64)
-    weights = np.empty(sample.n_satisfied)
-    for k, (counts, log_b) in enumerate(zip(sample.counts, sample.log_proposal)):
-        log_a = original.counts_log_probability(counts)
-        if log_a == float("-inf"):
-            raise EstimationError(_ABS_CONTINUITY_ERROR)
-        weights[k] = log_a - log_b
-    return weights
+    if arrays is None:
+        raise EstimationError(
+            "the sample carries neither fused log numerators for this chain "
+            "nor count arrays; draw it with run_importance_sampling (keeping "
+            "counts, or with original= this chain)"
+        )
+    log_a = arrays.trace_log_probs(original)
+    if np.isneginf(log_a).any():
+        raise EstimationError(_ABS_CONTINUITY_ERROR)
+    return log_a - np.asarray(sample.log_proposal, dtype=np.float64)
 
 
 def ess_from_log_weights(log_w: np.ndarray) -> float:

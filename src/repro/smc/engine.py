@@ -13,31 +13,31 @@ probabilities*. That primitive is expressed here once, as a
     step, scalar monitors, lazily compiled rows (:class:`CompiledChain`).
     Always available, for every formula.
 
-:class:`VectorizedBackend`
-    Compiles the whole chain upfront into flat CSR arrays
-    (:class:`CompiledCSR`) and advances an *ensemble* of traces in
-    lockstep: one vectorized per-row binary search per step moves every
-    live trace at once, log-proposal probabilities accumulate by flat
-    gathers, and transition counts are aggregated afterwards from flat
-    ``source * n_states + target`` keys. Properties are decided by the
-    mask-based :class:`~repro.properties.monitor.VectorMonitor` path;
+:class:`KernelBackend`
+    The lockstep engine: compiles the whole chain upfront into flat CSR
+    arrays (:class:`CompiledCSR`) and advances an *ensemble* of traces
+    together. Every per-step operation — the per-row binary search that
+    moves every live trace at once, the monitor-mask update of the
+    formula's :class:`~repro.properties.monitor.MaskSpec`, the futility
+    cut and the log-weight accumulation — runs through
+    :mod:`repro.smc.kernels` (``@njit`` when numba is installed,
+    bitwise-matching NumPy fallbacks otherwise). It also offers *fused*
+    importance-weight accumulation straight off the step keys. The
+    default under ``"auto"`` whenever the formula has a mask spec;
     formulas outside that fragment fall back to the sequential backend
     (see :func:`resolve_backend`).
 
-:class:`KernelBackend`
-    The compiled tier: the same lockstep loop with every per-step
-    operation routed through :mod:`repro.smc.kernels` (``@njit`` when
-    numba is installed, bitwise-matching NumPy fallbacks otherwise),
-    array-native count tables, and optional *fused* importance-weight
-    accumulation straight off the step keys. The default under
-    ``"auto"`` whenever the monitor exposes a mask spec.
+Both backends record flat ``source * n_states + target`` transition keys
+per trace and aggregate them with
+:meth:`~repro.smc.kernels.TraceCounts.from_step_keys`, so every batch
+carries its transition counts in one format,
+:class:`~repro.smc.kernels.TraceCounts`.
 
 Consumers go through :class:`repro.smc.simulator.TraceSampler`, which is a
 thin facade building the plan and delegating batches to the chosen
-backend. Both backends produce identical
-:class:`~repro.smc.results.BatchSummary` structures, so everything
-downstream (estimators, observation tables, the optimiser) is
-backend-agnostic.
+backend. Every backend produces the same :class:`EnsembleResult` arrays,
+so everything downstream (estimators, observation tables, the optimiser)
+is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ DEFAULT_MAX_STEPS = 1_000_000
 COUNT_MODES = ("satisfied", "all", "none")
 
 #: Recognised backend selectors.
-BACKEND_NAMES = ("auto", "sequential", "vectorized", "kernel", "parallel")
+BACKEND_NAMES = ("auto", "sequential", "kernel", "parallel")
 
 #: Absolute tolerance for row-stochasticity during compilation. A row
 #: whose probabilities sum farther than this from one is genuinely
@@ -111,8 +111,8 @@ _METRIC_SATISFIED = _obs_metrics.registry().counter(
 )
 _METRIC_CUTS = _obs_metrics.registry().counter(
     "repro_futility_cuts_total",
-    "Traces cut early by the futility mask, by backend (the array "
-    "backends run the per-step census only while tracing is enabled).",
+    "Traces cut early by the futility mask, by backend (the kernel "
+    "backend runs the per-step census only while tracing is enabled).",
     ("backend",),
 )
 _METRIC_BATCH_SECONDS = _obs_metrics.registry().histogram(
@@ -222,8 +222,8 @@ class CompiledCSR:
     The chain is compiled once, upfront, into four aligned arrays —
     ``indptr`` (row pointers), ``indices`` (successor states), ``cumprobs``
     (within-row cumulative probabilities) and ``logprobs``. A batch of
-    transition draws is resolved by :meth:`gather_step`'s vectorized
-    per-row binary search over ``cumprobs`` — every live trace advances in
+    transition draws is resolved by :meth:`gather_step`'s per-row binary
+    search over ``cumprobs`` — every live trace advances in
     ``O(log max_degree)`` fully-array operations, and because the search
     compares raw within-row cumulative probabilities it is *exact*: the
     same float comparisons the scalar backend's per-row ``searchsorted``
@@ -306,35 +306,17 @@ class CompiledCSR:
         """Advance every trace in *states* by one transition.
 
         Returns ``(positions, next_states)`` where *positions* index the
-        flat entry arrays (for log-probability gathers). The successor of
-        each trace is the first entry of its row with cumulative
-        probability exceeding the trace's uniform draw — found by a
-        vectorized binary search bounded per trace by its row slice, so
-        the comparison is against the raw within-row cumulative (bitwise
-        the scalar backend's criterion, robust to arbitrarily small
-        transition probabilities in any row).
-
-        Consumes exactly one uniform draw per trace per step, in trace
-        order within the step. Note the consumption order is time-major,
-        while the sequential backend's is trace-major — given the same
-        seed the two backends realise identical traces only for one-trace
-        batches (larger batches agree statistically, not bitwise).
+        flat entry arrays (for log-probability gathers). Draws one uniform
+        per trace, in trace order, and resolves it through
+        :func:`repro.smc.kernels.gather_step`: the successor is the first
+        entry of the trace's row whose raw within-row cumulative
+        probability exceeds the draw — bitwise the sequential backend's
+        criterion, robust to arbitrarily small transition probabilities in
+        any row. The draws are made here, not in the kernel, so both
+        kernel tiers consume the stream identically.
         """
         u = rng.random(states.shape[0])
-        lo = self.indptr[states]
-        hi = self.indptr[states + 1]
-        last = hi - 1
-        searching = lo < last  # single-successor rows resolve immediately
-        while searching.any():
-            mid = (lo + hi) >> 1
-            go_right = searching & (self.cumprobs[np.minimum(mid, last)] <= u)
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(searching & ~go_right, mid, hi)
-            searching = lo < hi
-        # The row tail is pinned to cumulative 1.0 > u, so lo stays inside
-        # the row; the minimum() above is only an idle-lane gather guard.
-        pos = np.minimum(lo, last)
-        return pos, self.indices[pos]
+        return _kernels.gather_step(self.indptr, self.indices, self.cumprobs, states, u)
 
 
 @dataclass(frozen=True)
@@ -343,7 +325,7 @@ class SimulationPlan:
 
     Built once by :func:`make_plan` (or the :class:`TraceSampler` facade)
     and shared by backends: the chain, the scalar monitor factory, the
-    optional vector monitor, the futility mask, the step cap and the
+    optional lockstep mask spec, the futility mask, the step cap and the
     bookkeeping switches.
 
     ``weight_chain`` (with the optional ``weight_state_map`` projection)
@@ -357,7 +339,7 @@ class SimulationPlan:
     chain: DTMC
     formula: Formula
     monitor_factory: Callable[[], mon.Monitor]
-    vector_monitor: "mon.VectorMonitor | None"
+    mask_spec: "mon.MaskSpec | None"
     futility: FutilityMask | None
     max_steps: int
     count_mode: str
@@ -401,8 +383,8 @@ def make_plan(
         from the formula.
     weight_chain : DTMC, optional
         Accumulate each trace's log probability under this chain too
-        (the IS numerator), fused into the simulation loop on backends
-        that support it.
+        (the IS numerator), fused into the simulation loop on the kernel
+        backend.
     weight_state_map : ndarray, optional
         Project simulated states onto *weight_chain* states before the
         numerator lookup (used by the unrolled time-dependent proposal,
@@ -450,7 +432,7 @@ def make_plan(
         chain=chain,
         formula=formula,
         monitor_factory=formula.compile(chain),
-        vector_monitor=formula.vector_monitor(chain),
+        mask_spec=formula.mask_spec(chain),
         futility=fut,
         max_steps=int(max_steps),
         count_mode=count_mode,
@@ -467,17 +449,14 @@ class EnsembleResult:
 
     Per-trace results live in flat NumPy arrays instead of per-trace
     Python objects, so a ten-thousand-trace batch costs a handful of array
-    reductions rather than ten thousand allocations. ``count_tables`` is
-    ``None`` when counting was off, otherwise a list aligned with the
-    trace axis holding a :class:`TransitionCounts` per kept trace (``None``
-    for dropped ones, mirroring ``count_mode="satisfied"``).
-
-    The kernel backend keeps counts array-native instead:
-    ``count_arrays`` holds the same information as flat COO arrays
-    (:class:`~repro.smc.kernels.TraceCounts`); :meth:`tables` materializes
-    classic dict tables from either representation on demand. When the
-    plan carried a ``weight_chain``, ``log_numerators`` holds each trace's
-    fused log probability under it (the IS numerator).
+    reductions rather than ten thousand allocations. ``count_arrays`` is
+    ``None`` when counting was off, otherwise the per-trace transition
+    counts as flat COO arrays (:class:`~repro.smc.kernels.TraceCounts`,
+    whose ``kept`` mask mirrors ``count_mode="satisfied"``);
+    :meth:`tables` materializes classic dict tables on demand. When the
+    plan carried a ``weight_chain`` on the kernel backend,
+    ``log_numerators`` holds each trace's fused log probability under it
+    (the IS numerator).
 
     :meth:`to_summary` materializes the classic per-record
     :class:`~repro.smc.results.BatchSummary` for consumers that want
@@ -488,7 +467,6 @@ class EnsembleResult:
     decided: np.ndarray
     lengths: np.ndarray
     log_proposals: np.ndarray | None = None
-    count_tables: "list[TransitionCounts | None] | None" = None
     log_numerators: np.ndarray | None = None
     count_arrays: "TraceCounts | None" = None
 
@@ -519,17 +497,11 @@ class EnsembleResult:
         return self.total_length / n if n else 0.0
 
     def tables(self) -> "list[TransitionCounts | None] | None":
-        """Per-trace dict count tables, materializing from arrays if needed.
+        """Per-trace dict count tables materialized from ``count_arrays``.
 
-        Returns ``count_tables`` when present, otherwise converts
-        ``count_arrays`` (kernel batches keep counts array-native), and
         ``None`` when counting was off entirely.
         """
-        if self.count_tables is not None:
-            return self.count_tables
-        if self.count_arrays is not None:
-            return self.count_arrays.to_tables()
-        return None
+        return None if self.count_arrays is None else self.count_arrays.to_tables()
 
     def merge(self, other: "EnsembleResult") -> "EnsembleResult":
         """Concatenate two batches along the trace axis."""
@@ -539,10 +511,7 @@ class EnsembleResult:
     def concatenate(chunks: "list[EnsembleResult]") -> "EnsembleResult":
         """Concatenate many batches with one copy per field.
 
-        Optional fields survive only when every chunk carries them. Counts
-        stay array-native when every chunk has ``count_arrays``; when
-        chunks mix representations but all have counts in *some* form,
-        the result falls back to materialized dict tables.
+        Optional fields survive only when every chunk carries them.
         """
         if not chunks:
             raise EstimationError("no chunks to concatenate")
@@ -554,22 +523,14 @@ class EnsembleResult:
         lognum = None
         if all(c.log_numerators is not None for c in chunks):
             lognum = np.concatenate([c.log_numerators for c in chunks])
-        tables = None
         arrays = None
         if all(c.count_arrays is not None for c in chunks):
             arrays = TraceCounts.concatenate([c.count_arrays for c in chunks])
-        elif all(c.count_tables is not None for c in chunks):
-            tables = [t for c in chunks for t in c.count_tables]
-        elif all(
-            c.count_tables is not None or c.count_arrays is not None for c in chunks
-        ):
-            tables = [t for c in chunks for t in c.tables()]
         return EnsembleResult(
             satisfied=np.concatenate([c.satisfied for c in chunks]),
             decided=np.concatenate([c.decided for c in chunks]),
             lengths=np.concatenate([c.lengths for c in chunks]),
             log_proposals=logp,
-            count_tables=tables,
             log_numerators=lognum,
             count_arrays=arrays,
         )
@@ -603,7 +564,8 @@ class EnsembleResult:
 class SimulationBackend:
     """Protocol of a simulation backend: run batches against one plan."""
 
-    #: Identifier reported in diagnostics (``"sequential"``/``"vectorized"``).
+    #: Identifier reported in diagnostics (``"sequential"``, ``"kernel"``,
+    #: ``"parallel"``).
     name: str
 
     @property
@@ -624,7 +586,11 @@ class SequentialBackend(SimulationBackend):
     """The reference backend: one scalar Python loop per trace.
 
     Exact extraction of the original per-trace simulation semantics; the
-    vectorized backend is tested against it verdict for verdict.
+    kernel backend is tested against it verdict for verdict. Transitions
+    are recorded as the same flat ``source * n_states + target`` keys the
+    kernel backend records and aggregated by the same
+    :meth:`~repro.smc.kernels.TraceCounts.from_step_keys`, so both engines
+    emit one count format.
     """
 
     name = "sequential"
@@ -640,7 +606,18 @@ class SequentialBackend(SimulationBackend):
 
     def sample_one(self, rng: np.random.Generator) -> TraceRecord:
         """Sample one trace; returns its :class:`TraceRecord`."""
+        return self.run_ensemble(1, rng).to_summary().records[0]
+
+    def _walk(
+        self, rng: np.random.Generator, keys: "list[int] | None"
+    ) -> "tuple[mon.Verdict, int, float]":
+        """Simulate one trace, appending its transition keys to *keys*.
+
+        Returns the final verdict, the number of transitions and the
+        trace's log probability (``0.0`` unless the plan records it).
+        """
         plan = self._plan
+        n_states = plan.chain.n_states
         monitor = plan.monitor_factory()
         state = plan.initial_state
         verdict = monitor.update(state)
@@ -651,14 +628,12 @@ class SequentialBackend(SimulationBackend):
         ):
             verdict = mon.Verdict.FALSE
             self._cuts += 1
-        keep_counts = plan.count_mode != "none"
-        counts = TransitionCounts() if keep_counts else None
         log_prob = 0.0
         steps = 0
         while not verdict.decided and steps < plan.max_steps:
             next_state, step_log_prob = self._compiled.step(state, rng)
-            if counts is not None:
-                counts.record(state, next_state)
+            if keys is not None:
+                keys.append(state * n_states + next_state)
             if plan.record_log_prob:
                 log_prob += step_log_prob
             state = next_state
@@ -671,16 +646,7 @@ class SequentialBackend(SimulationBackend):
             ):
                 verdict = mon.Verdict.FALSE
                 self._cuts += 1
-        satisfied = verdict is mon.Verdict.TRUE
-        if plan.count_mode == "satisfied" and not satisfied:
-            counts = None
-        return TraceRecord(
-            satisfied=satisfied,
-            length=steps,
-            counts=counts,
-            log_proposal=log_prob,
-            decided=verdict.decided,
-        )
+        return verdict, steps, log_prob
 
     def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
         if n_samples <= 0:
@@ -690,27 +656,42 @@ class SequentialBackend(SimulationBackend):
         decided = np.empty(n_samples, dtype=bool)
         lengths = np.empty(n_samples, dtype=np.int64)
         logp = np.empty(n_samples, dtype=np.float64) if plan.record_log_prob else None
-        tables: "list[TransitionCounts | None] | None" = (
-            [] if plan.count_mode != "none" else None
-        )
+        keys: "list[int] | None" = [] if plan.count_mode != "none" else None
         cuts_before = self._cuts
         started = _time.perf_counter()
         with _obs_trace.span("simulate", backend=self.name, traces=n_samples) as sp:
             for k in range(n_samples):
-                record = self.sample_one(rng)
-                satisfied[k] = record.satisfied
-                decided[k] = record.decided
-                lengths[k] = record.length
+                first_key = len(keys) if keys is not None else 0
+                verdict, steps, log_prob = self._walk(rng, keys)
+                satisfied[k] = verdict is mon.Verdict.TRUE
+                decided[k] = verdict.decided
+                lengths[k] = steps
                 if logp is not None:
-                    logp[k] = record.log_proposal
-                if tables is not None:
-                    tables.append(record.counts)
+                    logp[k] = log_prob
+                if keys is not None and plan.count_mode == "satisfied" and not satisfied[k]:
+                    del keys[first_key:]  # a failed trace keeps no table
+            count_arrays = None
+            if keys is not None:
+                kept = (
+                    satisfied
+                    if plan.count_mode == "satisfied"
+                    else np.ones(n_samples, dtype=bool)
+                )
+                # Each kept trace left exactly ``lengths[k]`` keys, in order.
+                owners = np.repeat(np.flatnonzero(kept), lengths[kept])
+                count_arrays = TraceCounts.from_step_keys(
+                    n_samples,
+                    plan.chain.n_states,
+                    kept,
+                    [owners],
+                    [np.asarray(keys, dtype=np.int64)],
+                )
             result = EnsembleResult(
                 satisfied=satisfied,
                 decided=decided,
                 lengths=lengths,
                 log_proposals=logp,
-                count_tables=tables,
+                count_arrays=count_arrays,
             )
             sp.annotate(
                 satisfied=int(np.count_nonzero(satisfied)),
@@ -723,245 +704,39 @@ class SequentialBackend(SimulationBackend):
         return result
 
 
-class VectorizedBackend(SimulationBackend):
-    """Lockstep ensemble backend: advances all live traces per step at once.
-
-    Requires the formula to compile to a
-    :class:`~repro.properties.monitor.VectorMonitor` (the reach/avoid/
-    bounded-until fragment); :func:`resolve_backend` falls back to
-    :class:`SequentialBackend` otherwise.
-
-    Per simulated step the backend performs a constant number of NumPy
-    operations on arrays sized by the number of live traces: one uniform
-    batch draw, one flat ``searchsorted`` gather through
-    :class:`CompiledCSR`, mask gathers for the monitor and futility
-    verdicts, and (when requested) appends of flat
-    ``source * n_states + target`` transition keys. Count tables are
-    reduced afterwards with one ``lexsort`` + run-length encoding over all
-    recorded keys — the ``np.bincount``-style aggregation is deferred off
-    the hot loop.
-    """
-
-    name = "vectorized"
-
-    def __init__(self, plan: SimulationPlan, max_ensemble: int = DEFAULT_MAX_ENSEMBLE):
-        if plan.vector_monitor is None:
-            raise EstimationError(
-                f"{plan.formula!r} does not compile to a vectorized monitor; "
-                "use the sequential backend"
-            )
-        if max_ensemble <= 0:
-            raise EstimationError("max_ensemble must be positive")
-        self._plan = plan
-        self._max_ensemble = int(max_ensemble)
-        self._csr = CompiledCSR.from_chain(plan.chain)
-        # Fused IS numerator: a per-CSR-entry log a_ij table so the loop
-        # accumulates weights with the same gather it uses for log b_ij.
-        self._wlogs = (
-            entry_weight_logs(
-                self._csr.n_states,
-                self._csr.indptr,
-                self._csr.indices,
-                plan.weight_chain,
-                plan.weight_state_map,
-            )
-            if plan.weight_chain is not None
-            else None
-        )
-
-    @property
-    def plan(self) -> SimulationPlan:
-        return self._plan
-
-    @property
-    def csr(self) -> CompiledCSR:
-        """The upfront-compiled chain arrays."""
-        return self._csr
-
-    def run_ensemble(self, n_samples: int, rng: np.random.Generator) -> EnsembleResult:
-        if n_samples <= 0:
-            raise EstimationError("n_samples must be positive")
-        chunks: list[EnsembleResult] = []
-        remaining = n_samples
-        cuts = 0
-        started = _time.perf_counter()
-        with _obs_trace.span("simulate", backend=self.name, traces=n_samples) as sp:
-            while remaining > 0:
-                chunk, chunk_cuts = self._simulate(min(remaining, self._max_ensemble), rng)
-                chunks.append(chunk)
-                cuts += chunk_cuts
-                remaining -= chunk.n_samples
-            result = EnsembleResult.concatenate(chunks)
-            sp.annotate(
-                satisfied=int(np.count_nonzero(result.satisfied)),
-                steps=int(result.lengths.sum()),
-                futility_cuts=cuts,
-            )
-        _record_ensemble(self.name, result, _time.perf_counter() - started, cuts)
-        return result
-
-    def _simulate(self, n: int, rng: np.random.Generator) -> "tuple[EnsembleResult, int]":
-        plan, csr = self._plan, self._csr
-        vm = plan.vector_monitor
-        assert vm is not None
-        fut = plan.futility
-        keep_counts = plan.count_mode != "none"
-        count_cuts = _count_cuts()
-        cuts = 0
-
-        states = np.full(n, plan.initial_state, dtype=np.int64)
-        verdicts = vm.update(states, 0).copy()
-        if fut is not None and 0 >= fut.start_position:
-            cut = (verdicts == mon.VECTOR_UNDECIDED) & fut.mask[states]
-            if count_cuts:
-                cuts += int(np.count_nonzero(cut))
-            verdicts[cut] = mon.VECTOR_FALSE
-        lengths = np.zeros(n, dtype=np.int64)
-        logp = np.zeros(n, dtype=np.float64) if plan.record_log_prob else None
-        wlogs = self._wlogs
-        lognum = np.zeros(n, dtype=np.float64) if wlogs is not None else None
-        step_traces: list[np.ndarray] = []
-        step_keys: list[np.ndarray] = []
-
-        active = np.flatnonzero(verdicts == mon.VECTOR_UNDECIDED)
-        time = 0
-        while active.size and time < plan.max_steps:
-            current = states[active]
-            pos, nxt = csr.gather_step(current, rng)
-            if logp is not None:
-                logp[active] += csr.logprobs[pos]
-            if lognum is not None:
-                lognum[active] += wlogs[pos]
-            if keep_counts:
-                step_traces.append(active)
-                step_keys.append(current * csr.n_states + nxt)
-            states[active] = nxt
-            lengths[active] += 1
-            time += 1
-            codes = vm.update(nxt, time)
-            if fut is not None and time >= fut.start_position:
-                cut = (codes == mon.VECTOR_UNDECIDED) & fut.mask[nxt]
-                # Copy only when a cut actually lands: the monitor owns the
-                # returned array, but most steps cut nothing.
-                if cut.any():
-                    if count_cuts:
-                        cuts += int(np.count_nonzero(cut))
-                    codes = codes.copy()
-                    codes[cut] = mon.VECTOR_FALSE
-            verdicts[active] = codes
-            active = active[codes == mon.VECTOR_UNDECIDED]
-            if (
-                keep_counts
-                and plan.count_mode == "satisfied"
-                and time % COMPACT_INTERVAL == 0
-                and len(step_traces) > 1
-            ):
-                useful = verdicts != mon.VECTOR_FALSE  # still live or satisfied
-                traces_cat = np.concatenate(step_traces)
-                keys_cat = np.concatenate(step_keys)
-                sel = useful[traces_cat]
-                step_traces = [traces_cat[sel]]
-                step_keys = [keys_cat[sel]]
-
-        satisfied = verdicts == mon.VECTOR_TRUE
-        decided = verdicts != mon.VECTOR_UNDECIDED
-        counts_list: "list[TransitionCounts | None] | None" = None
-        if keep_counts:
-            counts_list = [None] * n
-            want = satisfied if plan.count_mode == "satisfied" else np.ones(n, dtype=bool)
-            for k in np.flatnonzero(want).tolist():
-                counts_list[k] = TransitionCounts()
-            if step_traces:
-                self._fill_counts(counts_list, want, step_traces, step_keys)
-        return (
-            EnsembleResult(
-                satisfied=satisfied,
-                decided=decided,
-                lengths=lengths,
-                log_proposals=logp,
-                count_tables=counts_list,
-                log_numerators=lognum,
-            ),
-            cuts,
-        )
-
-    def _fill_counts(
-        self,
-        counts_list: "list[TransitionCounts | None]",
-        want: np.ndarray,
-        step_traces: list[np.ndarray],
-        step_keys: list[np.ndarray],
-    ) -> None:
-        """Aggregate recorded flat transition keys into per-trace tables."""
-        traces = np.concatenate(step_traces)
-        keys = np.concatenate(step_keys)
-        sel = want[traces]
-        traces, keys = traces[sel], keys[sel]
-        if not traces.size:
-            return
-        order = np.lexsort((keys, traces))
-        traces, keys = traces[order], keys[order]
-        # Run-length encode identical (trace, key) pairs: the run lengths
-        # are exactly the n_ij counts of Equation (1).
-        new_pair = np.empty(traces.size, dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (traces[1:] != traces[:-1]) | (keys[1:] != keys[:-1])
-        starts = np.flatnonzero(new_pair)
-        run_lengths = np.diff(np.append(starts, traces.size))
-        pair_traces = traces[starts]
-        pair_keys = keys[starts]
-        sources, targets = np.divmod(pair_keys, self._csr.n_states)
-        # Slice the per-pair arrays into per-trace groups.
-        new_trace = np.empty(pair_traces.size, dtype=bool)
-        new_trace[0] = True
-        new_trace[1:] = pair_traces[1:] != pair_traces[:-1]
-        group_bounds = np.append(np.flatnonzero(new_trace), pair_traces.size).tolist()
-        pairs = list(zip(sources.tolist(), targets.tolist()))
-        count_list = run_lengths.tolist()
-        trace_ids = pair_traces.tolist()
-        for a, b in zip(group_bounds[:-1], group_bounds[1:]):
-            table = counts_list[trace_ids[a]]
-            assert table is not None
-            table.counts.update(dict(zip(pairs[a:b], count_list[a:b])))
-
-
 class KernelBackend(SimulationBackend):
-    """Compiled kernel tier: the lockstep loop through ``smc.kernels``.
+    """The lockstep ensemble engine, through ``smc.kernels``.
 
-    Same skeleton, chunking and RNG consumption as
-    :class:`VectorizedBackend` — one uniform batch draw per step, drawn by
-    this driver and passed into the kernels, so verdicts, lengths and
-    log-proposals are **bitwise identical** to the vectorized backend's —
-    but every per-step operation (CSR gather-step, monitor-mask update,
-    futility cut, log-weight accumulation) runs through the active
-    :mod:`repro.smc.kernels` tier (``@njit`` when numba is installed, the
-    bitwise-matching NumPy fallback otherwise; see
-    :func:`~repro.smc.kernels.kernel_runtime_info`).
+    Advances all live traces of a batch per step at once. Per simulated
+    step it draws one uniform batch (in trace order, so the RNG stream is
+    time-major), resolves every live trace's transition through the CSR
+    gather-step, updates the formula's
+    :class:`~repro.properties.monitor.MaskSpec` verdict codes, applies the
+    futility cut and accumulates log weights — each operation through the
+    active :mod:`repro.smc.kernels` tier (``@njit`` when numba is
+    installed, the bitwise-matching NumPy fallback otherwise; see
+    :func:`~repro.smc.kernels.kernel_runtime_info`), so results do not
+    depend on the tier.
 
-    Two structural differences close the IS hot-path gap:
+    Transition counts are recorded as flat ``source * n_states + target``
+    keys and reduced once per batch into one
+    :class:`~repro.smc.kernels.TraceCounts` COO block. When the plan
+    carries a ``weight_chain``, the IS numerator ``Σ n_ij log a_ij``
+    accumulates inside the loop (fused weights), so the estimator never
+    walks per-trace tables at all.
 
-    * transition counts stay array-native — one
-      :class:`~repro.smc.kernels.TraceCounts` COO block per batch instead
-      of a Python dict per trace, convertible back on demand;
-    * when the plan carries a ``weight_chain``, the IS numerator
-      ``Σ n_ij log a_ij`` accumulates inside the loop (fused weights), so
-      the estimator never walks per-trace tables at all.
-
-    Requires the vector monitor to expose a
-    :meth:`~repro.properties.monitor.VectorMonitor.mask_spec`;
-    :func:`resolve_backend` falls back to :class:`VectorizedBackend` (or
-    sequential) otherwise.
+    Requires the formula to have a mask spec; :func:`resolve_backend`
+    falls back to :class:`SequentialBackend` otherwise.
     """
 
     name = "kernel"
 
     def __init__(self, plan: SimulationPlan, max_ensemble: int = DEFAULT_MAX_ENSEMBLE):
-        vm = plan.vector_monitor
-        spec = vm.mask_spec() if vm is not None else None
+        spec = plan.mask_spec
         if spec is None:
             raise EstimationError(
                 f"{plan.formula!r} exposes no monitor mask spec; "
-                "use the vectorized or sequential backend"
+                "use the sequential backend"
             )
         if max_ensemble <= 0:
             raise EstimationError("max_ensemble must be positive")
@@ -1076,13 +851,7 @@ class KernelBackend(SimulationBackend):
         time = 0
         while active.size and time < plan.max_steps:
             current = states[active]
-            # The driver owns the RNG: one uniform batch per step, exactly
-            # the vectorized backend's consumption order, so both kernel
-            # tiers realise its traces bitwise.
-            u = rng.random(current.shape[0])
-            pos, nxt = _kernels.gather_step(
-                csr.indptr, csr.indices, csr.cumprobs, current, u
-            )
+            pos, nxt = csr.gather_step(current, rng)
             if logp is not None:
                 _kernels.gather_add(logp, active, csr.logprobs, pos)
             if lognum is not None:
@@ -1148,16 +917,11 @@ def resolve_backend(
     Parameters
     ----------
     backend : str, SimulationBackend or None
-        ``"auto"`` (and ``None``) picks the fastest applicable tier:
-        :class:`KernelBackend` when the plan's vector monitor exposes a
-        mask spec, else :class:`VectorizedBackend` when the formula
-        compiled to a vector monitor at all, else
-        :class:`SequentialBackend`. ``"kernel"`` requests the kernel
-        tier explicitly with the same fallbacks; ``"vectorized"`` picks
-        :class:`VectorizedBackend` (sequential fallback);
-        ``"sequential"`` always picks the reference backend;
-        ``"parallel"`` shards batches across a process pool
-        (:class:`~repro.smc.parallel.ParallelBackend` with default
+        ``"auto"`` (and ``None``) and ``"kernel"`` pick
+        :class:`KernelBackend` when the plan has a mask spec, else
+        :class:`SequentialBackend`; ``"sequential"`` always picks the
+        reference backend; ``"parallel"`` shards batches across a process
+        pool (:class:`~repro.smc.parallel.ParallelBackend` with default
         settings — construct it directly to tune workers or shard
         size). An already constructed backend passes through untouched.
     plan : SimulationPlan
@@ -1183,16 +947,23 @@ def resolve_backend(
         from repro.smc.parallel import ParallelBackend
 
         return ParallelBackend(plan)
-    vm = plan.vector_monitor
-    if backend in ("auto", "kernel") and vm is not None and vm.mask_spec() is not None:
+    if backend != "sequential" and plan.mask_spec is not None:
         return KernelBackend(plan)
-    if backend in ("auto", "kernel", "vectorized") and vm is not None:
-        return VectorizedBackend(plan)
     return SequentialBackend(plan)
 
 
+def runs_lockstep(backend: SimulationBackend) -> bool:
+    """Whether *backend* simulates through the lockstep kernel engine.
+
+    A :class:`~repro.smc.parallel.ParallelBackend` counts by the
+    in-process engine it wraps (its ``inner``), which also runs every
+    shard.
+    """
+    return isinstance(getattr(backend, "inner", backend), KernelBackend)
+
+
 #: Default traces per batch for sequential tests walking verdicts one by
-#: one (SPRT, Bayes factor): large enough to amortise the vectorized
+#: one (SPRT, Bayes factor): large enough to amortise the lockstep
 #: engine's per-batch overhead, small enough that early stopping wastes
 #: little simulation.
 DEFAULT_CHUNK_SIZE = 256
@@ -1224,14 +995,14 @@ def iter_verdicts(
     """Yield up to *max_samples* per-trace satisfaction verdicts.
 
     Draws batches of *chunk_size* from *sampler* (anything exposing
-    ``sample_ensemble`` and ``backend_name``, i.e. a
+    ``sample_ensemble`` and ``backend``, i.e. a
     :class:`~repro.smc.simulator.TraceSampler`) and flattens them into an
-    early-stoppable verdict stream. On a non-vectorized backend the chunk
-    size collapses to one — batching only pays off when simulation is
-    vectorized, and a scalar backend would waste up to ``chunk_size - 1``
-    traces past the consumer's stopping point.
+    early-stoppable verdict stream. Unless the backend
+    :func:`runs_lockstep`, the chunk size collapses to one — batching only
+    pays off when simulation is lockstep, and a scalar backend would waste
+    up to ``chunk_size - 1`` traces past the consumer's stopping point.
     """
-    if sampler.backend_name not in ("vectorized", "kernel"):
+    if not runs_lockstep(sampler.backend):
         chunk_size = 1
     for take in iter_chunks(max_samples, chunk_size):
         yield from sampler.sample_ensemble(take, rng).satisfied.tolist()

@@ -24,11 +24,11 @@ twice in CI, once per tier). Likewise the kernel tier's *fused* importance
 weights match the classic per-trace table walk up to summation order — see
 :func:`repro.importance.estimator.log_weights` for the documented ULP note.
 
-The module also provides :class:`TraceCounts`, the array-native replacement
-for per-trace :class:`~repro.core.paths.TransitionCounts` dicts: transition
-counts of a whole batch as flat COO arrays, aggregated once per ensemble
-with a ``lexsort`` + run-length encoding and convertible back to classic
-dict tables on demand (Table I/II outputs).
+The module also provides :class:`TraceCounts`, the one count format every
+engine emits: transition counts of a whole batch as flat COO arrays,
+aggregated once per ensemble with a ``lexsort`` + run-length encoding and
+convertible to per-trace :class:`~repro.core.paths.TransitionCounts` dicts
+on demand (Table I/II outputs).
 """
 
 from __future__ import annotations
@@ -129,10 +129,9 @@ def _gather_step_numpy(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Vectorized per-row binary search (one transition per live trace).
 
-    Identical to :meth:`repro.smc.engine.CompiledCSR.gather_step` except
-    the uniform draws *u* are supplied by the caller — the driver owns the
-    RNG so both tiers (and the vectorized backend) consume the stream
-    identically.
+    The uniform draws *u* are supplied by the caller, which owns the
+    RNG, so both tiers consume the stream identically (see
+    :meth:`repro.smc.engine.CompiledCSR.gather_step`).
     """
     lo = indptr[states]
     hi = indptr[states + 1]
@@ -194,8 +193,9 @@ def _monitor_codes_numpy(
     n_next: int,
     lhs_exempt: bool,
 ) -> np.ndarray:
-    """Mask-based verdict codes; mirrors the vector monitors branch for
-    branch (``bound < 0`` means unbounded)."""
+    """Verdict codes of a :class:`~repro.properties.monitor.MaskSpec`;
+    mirrors the scalar monitors branch for branch (``bound < 0`` means
+    unbounded)."""
     if kind == KIND_STATE:
         return np.where(rhs[states], np.int8(_TRUE), np.int8(_FALSE))
     out = np.zeros(states.shape[0], dtype=np.int8)
@@ -492,8 +492,9 @@ class TraceCounts:
 
         Pairs that collide after projection are re-aggregated (their
         counts summed), keeping the sorted ``(trace, key)`` entry order
-        invariant. This is the array form of
-        :meth:`~repro.importance.bounded.UnrolledProposal.project_counts`.
+        invariant. The unrolled time-dependent proposal projects its counts
+        back onto the original chain this way (see
+        :meth:`~repro.importance.bounded.UnrolledProposal.state_map`).
         """
         state_map = np.asarray(state_map, dtype=np.int64)
         sources = state_map[self.sources]
@@ -567,9 +568,9 @@ class TraceCounts:
 
         Kept traces get a :class:`~repro.core.paths.TransitionCounts`
         (possibly empty), unkept traces ``None`` — and pairs enter each
-        dict in sorted-key order, exactly as the vectorized backend's
-        run-length aggregation fills them, so dict equality *and*
-        iteration order match across backends.
+        dict in sorted-key order, the order of the run-length
+        aggregation, so dict equality *and* iteration order match across
+        backends.
         """
         tables: "list[TransitionCounts | None]" = [None] * self.n_traces
         for k in np.flatnonzero(self.kept).tolist():

@@ -1,11 +1,11 @@
 """Multi-core sharded simulation: a process-pool backend over the engine.
 
-A single huge ensemble is memory- and core-bound: the vectorized engine
-advances one lockstep batch on one core, and the per-step working arrays of
+A single huge ensemble is memory- and core-bound: the lockstep engine
+advances one batch on one core, and the per-step working arrays of
 the 40 320-state repair model do not fit in cache once the batch grows.
 :class:`ParallelBackend` shards a requested ensemble into fixed-size
-sub-batches, runs the in-process engine (:class:`VectorizedBackend` where
-the formula vectorizes) inside a persistent :class:`ProcessPoolExecutor`,
+sub-batches, runs the in-process engine (:class:`KernelBackend` where the
+formula has a mask spec) inside a persistent :class:`ProcessPoolExecutor`,
 and merges the per-shard :class:`~repro.smc.engine.EnsembleResult` arrays
 in shard order.
 
@@ -225,8 +225,8 @@ class ParallelBackend(SimulationBackend):
         (bitwise the inner backend's results, no pool involved).
     inner:
         Backend selector executed per shard (``"auto"`` picks the kernel
-        tier whenever the monitor exposes a mask spec, with the usual
-        vectorized/sequential fallbacks — kernel-inside-shard composes).
+        engine whenever the formula has a mask spec, with the usual
+        sequential fallback — kernel-inside-shard composes).
     """
 
     name = "parallel"

@@ -9,7 +9,7 @@ importance-sampling proposal).
 Since the batch-engine refactor the sampler itself holds no simulation
 logic: it builds a :class:`~repro.smc.engine.SimulationPlan` once and
 delegates to a pluggable :class:`~repro.smc.engine.SimulationBackend` —
-the lockstep-ensemble :class:`~repro.smc.engine.VectorizedBackend` whenever
+the lockstep-ensemble :class:`~repro.smc.engine.KernelBackend` whenever
 the property compiles to masks, the scalar
 :class:`~repro.smc.engine.SequentialBackend` otherwise (or on request).
 Single-trace :meth:`TraceSampler.sample` always runs the sequential
@@ -34,9 +34,9 @@ from repro.smc.engine import (
     EnsembleResult,
     SequentialBackend,
     SimulationBackend,
-    VectorizedBackend,
     make_plan,
     resolve_backend,
+    runs_lockstep,
 )
 from repro.smc.futility import FutilityMask
 from repro.smc.results import BatchSummary, TraceRecord
@@ -50,7 +50,6 @@ __all__ = [
     "SequentialBackend",
     "SimulationBackend",
     "TraceSampler",
-    "VectorizedBackend",
 ]
 
 
@@ -70,7 +69,7 @@ class TraceSampler:
         Traces undecided at the cap count as not satisfying and are tallied
         separately.
     count_mode:
-        Which traces get a :class:`TransitionCounts` table: ``"satisfied"``
+        Which traces keep transition counts: ``"satisfied"``
         (Algorithm 1's choice), ``"all"`` (needed for model learning), or
         ``"none"``.
     record_log_prob:
@@ -85,13 +84,11 @@ class TraceSampler:
         ``F "goal"`` trace absorbed in a failure state would run to the
         step cap. Pass ``None`` to disable, or a precomputed mask.
     backend:
-        ``"auto"`` (default) batch-simulates through the compiled kernel
-        tier when the monitor exposes a mask spec, the lockstep vectorized
-        engine when the formula merely compiles to masks, and the scalar
-        loop otherwise; ``"kernel"`` and ``"vectorized"`` request those
-        tiers explicitly (same fallbacks); ``"sequential"`` forces the
-        reference loop; ``"parallel"`` shards batches across a process
-        pool. A :class:`SimulationBackend` instance is used as-is.
+        ``"auto"`` (default) and ``"kernel"`` batch-simulate through the
+        lockstep kernel engine when the formula has a mask spec, and the
+        scalar loop otherwise; ``"sequential"`` forces the reference
+        loop; ``"parallel"`` shards batches across a process pool. A
+        :class:`SimulationBackend` instance is used as-is.
     workers:
         When not ``None``, shard batches across this many worker processes
         (``"auto"`` = CPU count) through
@@ -105,7 +102,7 @@ class TraceSampler:
         in-process on *backend* directly, bitwise-identically to
         ``workers=None``.
     weight_chain:
-        When given, lockstep backends additionally accumulate each
+        When given, the lockstep engine additionally accumulates each
         trace's log probability under this chain — the fused IS numerator
         — into :attr:`EnsembleResult.log_numerators` (see
         :attr:`fuses_weights`).
@@ -178,20 +175,14 @@ class TraceSampler:
     def fuses_weights(self) -> bool:
         """Whether batches carry fused IS numerators.
 
-        True when the plan holds a ``weight_chain`` and the effective
-        in-process engine is a lockstep backend (kernel or vectorized —
-        also inside parallel shards): those accumulate
+        True when the plan holds a ``weight_chain`` and the backend
+        :func:`~repro.smc.engine.runs_lockstep` (also inside parallel
+        shards): the kernel engine accumulates
         :attr:`~repro.smc.engine.EnsembleResult.log_numerators` during
         simulation. The sequential reference loop does not fuse; callers
         needing weights there must keep count tables instead.
         """
-        if self._plan.weight_chain is None:
-            return False
-        backend = self._backend
-        inner = getattr(backend, "inner", None)
-        if inner is not None:
-            backend = inner
-        return backend.name in ("kernel", "vectorized")
+        return self._plan.weight_chain is not None and runs_lockstep(self._backend)
 
     def sample(self, rng: np.random.Generator) -> TraceRecord:
         """Sample one trace through the sequential reference path."""

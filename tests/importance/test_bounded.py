@@ -13,6 +13,7 @@ from repro.importance.bounded import (
     time_dependent_zero_variance,
 )
 from repro.properties import parse_property
+from repro.smc.kernels import TraceCounts
 
 from tests.conftest import illustrative_matrix
 
@@ -57,12 +58,21 @@ class TestUnrolledProposal:
     def test_projection_maps_layers_down(self, chain):
         formula = parse_property('F<=4 "goal"')
         proposal = time_dependent_zero_variance(chain, formula)
-        from repro.core import TransitionCounts
-
-        unrolled_counts = TransitionCounts.from_path([0, 4 + 1, 8 + 2])  # layered path
-        projected = proposal.project_counts(unrolled_counts)
-        assert projected[(0, 1)] == 1
-        assert projected[(1, 2)] == 1
+        n = proposal.chain.n_states
+        # One layered path 0 -> (1, s=1) -> (2, s=2), then a second trace
+        # taking (0, s=0) -> (1, s=1) twice through different layers, so
+        # two unrolled pairs collide on one original pair.
+        keys = np.array(
+            [0 * n + (4 + 1), (4 + 1) * n + (8 + 2), 0 * n + (4 + 1), 8 * n + (12 + 1)],
+            dtype=np.int64,
+        )
+        traces = np.array([0, 0, 1, 1], dtype=np.int64)
+        unrolled = TraceCounts.from_step_keys(2, n, np.ones(2, dtype=bool), [traces], [keys])
+        projected = unrolled.map_states(proposal.state_map(), proposal.n_original)
+        assert projected.n_states == 4
+        first, second = projected.to_tables()
+        assert dict(first.counts) == {(0, 1): 1, (1, 2): 1}
+        assert dict(second.counts) == {(0, 1): 2}
 
 
 class TestEstimation:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import probability
-from repro.core import DTMC
+from repro.core import DTMC, TransitionCounts
 from repro.errors import EstimationError
 from repro.importance import (
+    ISSample,
     ess_from_log_weights,
     estimate_from_sample,
     importance_sampling_estimate,
@@ -41,6 +42,19 @@ class TestSampling:
         sample = run_importance_sampling(proposal, formula, 200, rng)
         weights = log_weights(original, sample)
         assert weights.shape == (sample.n_satisfied,)
+
+    def test_log_weights_need_numerators_or_count_arrays(self, setup, rng):
+        original, proposal, formula = setup
+        tables_only = ISSample(
+            n_total=10, counts=[TransitionCounts.from_path([0, 1, 2])], log_proposal=[-1.0]
+        )
+        fused_only = run_importance_sampling(
+            proposal, formula, 200, rng, original=original, keep_counts=False
+        )
+        other = DTMC(illustrative_matrix(0.08, 0.3), 0, labels={"goal": [2]})
+        for chain, sample in ((original, tables_only), (other, fused_only)):
+            with pytest.raises(EstimationError, match="neither fused log numerators"):
+                log_weights(chain, sample)
 
 
 class TestEstimation:

@@ -1,7 +1,10 @@
 """Unit tests for trace monitors, including the repair-property shape."""
 
+import numpy as np
+import pytest
 
 from repro.properties import Atom, Eventually, Globally, Next, Not, Until
+from repro.properties.monitor import MaskSpec
 from repro.properties.monitor import Verdict as V
 
 
@@ -116,3 +119,18 @@ class TestOtherMonitors:
         factory = Eventually(Atom("goal"), 7).compile(small_chain)
         assert factory().horizon == 7
         assert Eventually(Atom("goal")).compile(small_chain)().horizon is None
+
+
+class TestMaskSpec:
+    def test_fragment_formulas_compile_to_specs(self, small_chain):
+        assert Atom("init").mask_spec(small_chain).kind == "state"
+        spec = Next(Eventually(Atom("goal"), 4)).mask_spec(small_chain)
+        assert (spec.kind, spec.bound, spec.n_next) == ("until", 4, 1)
+        spec = Globally(Not(Atom("fail")), 3).mask_spec(small_chain)
+        assert (spec.kind, spec.bound) == ("globally", 3)
+        either = Eventually(Atom("goal"), 2) | Eventually(Atom("fail"), 2)
+        assert either.mask_spec(small_chain) is None
+
+    def test_at_most_one_leading_next(self):
+        with pytest.raises(ValueError, match="n_next"):
+            MaskSpec(kind="until", rhs=np.zeros(3, dtype=bool), n_next=2)

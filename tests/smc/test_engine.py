@@ -1,9 +1,9 @@
 """Backend parity and unit tests for the batch simulation engine.
 
-The key invariants: with the same RNG stream and one-trace batches both
-backends realise *identical* traces (count tables and log-probabilities
-agree exactly), and at scale their estimates agree within statistical
-tolerance.
+The key invariants: with the same RNG stream and one-trace batches the
+sequential and kernel backends realise *identical* traces (count tables
+and log-probabilities agree exactly), and at scale their estimates agree
+within statistical tolerance.
 """
 
 import numpy as np
@@ -17,9 +17,9 @@ from repro.properties import parse_property
 from repro.smc import (
     CompiledChain,
     CompiledCSR,
+    KernelBackend,
     SequentialBackend,
     TraceSampler,
-    VectorizedBackend,
     make_plan,
     monte_carlo_estimate,
     resolve_backend,
@@ -27,7 +27,7 @@ from repro.smc import (
 
 from tests.conftest import random_dtmc
 
-#: Formulas covering the vectorized fragment: unbounded/bounded until,
+#: Formulas covering the mask fragment: unbounded/bounded until,
 #: state check, bounded globally, and the repair property's exempt shape.
 VECTOR_FORMULAS = [
     'F "goal"',
@@ -147,16 +147,11 @@ class TestBackendResolution:
         sampler = TraceSampler(small_chain, parse_property('F "goal"'))
         assert sampler.backend_name == "kernel"
 
-    def test_vectorized_forced(self, small_chain):
-        sampler = TraceSampler(
-            small_chain, parse_property('F "goal"'), backend="vectorized"
-        )
-        assert sampler.backend_name == "vectorized"
-
     def test_fallback_for_non_mask_formula(self, small_chain):
         # An OR of two path formulas has no UntilSpec decomposition.
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
-        sampler = TraceSampler(small_chain, formula, backend="vectorized")
+        assert formula.mask_spec(small_chain) is None
+        sampler = TraceSampler(small_chain, formula)
         assert sampler.backend_name == "sequential"
 
     def test_sequential_forced(self, small_chain):
@@ -166,19 +161,16 @@ class TestBackendResolution:
         assert sampler.backend_name == "sequential"
 
     def test_unknown_backend_rejected(self, small_chain):
-        with pytest.raises(EstimationError):
-            TraceSampler(small_chain, parse_property('F "goal"'), backend="gpu")
+        # "vectorized" is no alias of "kernel": it fails loudly like any
+        # other unknown selector.
+        for name in ("gpu", "vectorized"):
+            with pytest.raises(EstimationError, match="backend must be one of"):
+                TraceSampler(small_chain, parse_property('F "goal"'), backend=name)
 
     def test_backend_instance_passthrough(self, small_chain):
         plan = make_plan(small_chain, parse_property('F "goal"'))
         backend = SequentialBackend(plan)
         assert resolve_backend(backend, plan) is backend
-
-    def test_vectorized_requires_vector_monitor(self, small_chain):
-        formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
-        plan = make_plan(small_chain, formula)
-        with pytest.raises(EstimationError):
-            VectorizedBackend(plan)
 
 
 class TestExactParity:
@@ -192,16 +184,16 @@ class TestExactParity:
             chain, formula, count_mode="all", record_log_prob=True,
             backend="sequential", max_steps=50,
         )
-        vec = TraceSampler(
+        ker = TraceSampler(
             chain, formula, count_mode="all", record_log_prob=True,
-            backend="vectorized", max_steps=50,
+            backend="kernel", max_steps=50,
         )
-        assert vec.backend_name == "vectorized"
+        assert ker.backend_name == "kernel"
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         for _ in range(150):
             a = seq.sample_batch(1, rng_a).records[0]
-            b = vec.sample_batch(1, rng_b).records[0]
+            b = ker.sample_batch(1, rng_b).records[0]
             assert a.satisfied == b.satisfied
             assert a.decided == b.decided
             assert a.length == b.length
@@ -211,12 +203,13 @@ class TestExactParity:
     def test_satisfied_count_mode_parity(self, small_chain):
         formula = parse_property('F "goal"')
         seq = TraceSampler(small_chain, formula, backend="sequential")
-        vec = TraceSampler(small_chain, formula, backend="vectorized")
+        ker = TraceSampler(small_chain, formula, backend="kernel")
+        assert ker.backend_name == "kernel"
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
         for _ in range(100):
             a = seq.sample_batch(1, rng_a).records[0]
-            b = vec.sample_batch(1, rng_b).records[0]
+            b = ker.sample_batch(1, rng_b).records[0]
             assert (a.counts is None) == (b.counts is None)
             if a.counts is not None:
                 assert dict(a.counts.counts) == dict(b.counts.counts)
@@ -228,19 +221,19 @@ class TestStatisticalParity:
         formula = illustrative.reach_goal_formula()
         exact = illustrative.exact_probability(0.3, 0.4)
         estimates = {}
-        for backend in ("sequential", "vectorized"):
+        for backend in ("sequential", "kernel"):
             result = monte_carlo_estimate(
                 chain, formula, 4000, rng=11, backend=backend
             )
             estimates[backend] = result.estimate
             assert result.estimate == pytest.approx(exact, abs=0.03)
         assert estimates["sequential"] == pytest.approx(
-            estimates["vectorized"], abs=0.03
+            estimates["kernel"], abs=0.03
         )
 
     def test_batch_chunking_preserves_statistics(self, small_chain, rng):
         plan = make_plan(small_chain, parse_property('F "goal"'), count_mode="none")
-        backend = VectorizedBackend(plan, max_ensemble=64)
+        backend = KernelBackend(plan, max_ensemble=64)
         result = backend.run_ensemble(1000, rng)
         assert result.n_samples == 1000
         assert 0 < result.n_satisfied < 1000
@@ -248,7 +241,7 @@ class TestStatisticalParity:
 
     def test_undecided_at_cap(self, small_chain):
         formula = parse_property('F "goal"')
-        for backend in ("sequential", "vectorized"):
+        for backend in ("sequential", "kernel"):
             sampler = TraceSampler(
                 small_chain, formula, futility=None, max_steps=3, backend=backend
             )
@@ -274,6 +267,21 @@ class TestEnsembleResult:
             assert record.satisfied == bool(result.satisfied[k])
             assert record.length == int(result.lengths[k])
             assert record.log_proposal == float(result.log_proposals[k])
+
+    @pytest.mark.parametrize("count_mode", ["satisfied", "all"])
+    def test_sequential_emits_trace_counts(self, small_chain, count_mode):
+        sampler = TraceSampler(
+            small_chain, parse_property('F "goal"'),
+            count_mode=count_mode, backend="sequential",
+        )
+        result = sampler.sample_ensemble(200, np.random.default_rng(4))
+        counts = result.count_arrays
+        assert counts is not None
+        kept = result.satisfied if count_mode == "satisfied" else np.ones(200, dtype=bool)
+        np.testing.assert_array_equal(counts.kept, kept)
+        # every transition of a kept trace is counted, nothing of the rest
+        per_trace = np.bincount(counts.trace_ids, weights=counts.counts, minlength=200)
+        np.testing.assert_array_equal(per_trace, np.where(kept, result.lengths, 0))
 
     def test_merge(self, small_chain, rng):
         sampler = TraceSampler(small_chain, parse_property('F "goal"'))

@@ -7,22 +7,30 @@ Three layers of the kernel contract are pinned here:
   numba compiles, so this is the tier-parity guarantee checked without
   numba installed);
 * **backend parity** — ``KernelBackend`` realises bitwise the same
-  ensembles as ``VectorizedBackend`` (and, trace for trace, the
-  sequential engine), including the fused log-numerator accumulator;
-* **estimator parity** — fused importance weights reproduce the classic
-  per-trace table walk on every registry quick study.
+  ensembles as :func:`lockstep_replay`, a plain-Python reference of the
+  lockstep loop (and, trace for trace, the sequential engine), including
+  the fused log-numerator accumulator;
+* **estimator parity** — fused importance weights reproduce the
+  count-table weights on every registry quick study.
 """
 
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import DTMC
 from repro.errors import EstimationError
-from repro.importance import estimate_from_sample, log_weights, run_importance_sampling
+from repro.importance import (
+    ess_from_log_weights,
+    estimate_from_sample,
+    log_weights,
+    moments_from_log_weights,
+    run_importance_sampling,
+)
 from repro.importance.bounded import run_bounded_importance_sampling
 from repro.models.registry import REGISTRY
 from repro.properties import monitor as mon
@@ -30,11 +38,10 @@ from repro.properties import parse_property
 from repro.smc import (
     KernelBackend,
     TraceSampler,
-    VectorizedBackend,
     make_plan,
 )
 from repro.smc import kernels
-from repro.smc.engine import CompiledCSR
+from repro.smc.engine import CompiledChain, CompiledCSR
 from repro.smc.kernels import TraceCounts, kernel_runtime_info
 
 from tests.conftest import illustrative_matrix, random_dtmc
@@ -45,6 +52,87 @@ _KIND_CODES = {
     "until": kernels.KIND_UNTIL,
     "globally": kernels.KIND_GLOBALLY,
 }
+
+_VERDICT_CODES = {
+    mon.Verdict.UNDECIDED: mon.VECTOR_UNDECIDED,
+    mon.Verdict.TRUE: mon.VECTOR_TRUE,
+    mon.Verdict.FALSE: mon.VECTOR_FALSE,
+}
+
+
+def lockstep_replay(plan, n, rng):
+    """Plain-Python reference of the lockstep (vectorized-order) loop.
+
+    Per step it draws one ``rng.random(n_live)`` batch, live traces in
+    ascending order — the kernel engine's time-major stream — and moves
+    each live trace through its scalar :class:`CompiledChain` row, deciding
+    it with its own scalar monitor and the plan's futility mask. Returns
+    the per-trace arrays plus dict count tables (``None`` where the plan's
+    ``count_mode`` keeps no table).
+    """
+    compiled = CompiledChain(plan.chain)
+    fut = plan.futility
+    weight, state_map = plan.weight_chain, plan.weight_state_map
+
+    def decide(monitor, state, time):
+        verdict = monitor.update(state)
+        if not verdict.decided and fut is not None and fut.applies(state, time):
+            verdict = mon.Verdict.FALSE
+        return verdict
+
+    monitors = [plan.monitor_factory() for _ in range(n)]
+    verdicts = [decide(m, plan.initial_state, 0) for m in monitors]
+    states = [plan.initial_state] * n
+    lengths = np.zeros(n, dtype=np.int64)
+    logp = np.zeros(n)
+    lognum = np.zeros(n)
+    tables = [{} for _ in range(n)]
+    live = [k for k in range(n) if not verdicts[k].decided]
+    time = 0
+    while live and time < plan.max_steps:
+        draws = rng.random(len(live))
+        time += 1
+        for k, u in zip(live, draws):
+            row = compiled.row(states[k])
+            pos = int(np.searchsorted(row.cumulative, u, side="right"))
+            pos = min(pos, row.indices.size - 1)
+            source, target = states[k], int(row.indices[pos])
+            logp[k] += row.log_probs[pos]
+            if weight is not None:
+                i, j = (source, target) if state_map is None else (
+                    state_map[source], state_map[target]
+                )
+                with np.errstate(divide="ignore"):
+                    lognum[k] += np.log(weight.probability(i, j))
+            tables[k][(source, target)] = tables[k].get((source, target), 0) + 1
+            states[k] = target
+            lengths[k] += 1
+            verdicts[k] = decide(monitors[k], target, time)
+        live = [k for k in live if not verdicts[k].decided]
+    satisfied = np.array([v is mon.Verdict.TRUE for v in verdicts])
+    keep = {"all": [True] * n, "satisfied": satisfied, "none": [False] * n}
+    return SimpleNamespace(
+        satisfied=satisfied,
+        decided=np.array([v.decided for v in verdicts]),
+        lengths=lengths,
+        log_proposals=logp if plan.record_log_prob else None,
+        log_numerators=lognum if weight is not None else None,
+        tables=[t if kept else None for t, kept in zip(tables, keep[plan.count_mode])],
+    )
+
+
+def assert_matches_replay(result, replay):
+    """An engine batch equals the lockstep replay, bit for bit."""
+    np.testing.assert_array_equal(result.satisfied, replay.satisfied)
+    np.testing.assert_array_equal(result.decided, replay.decided)
+    np.testing.assert_array_equal(result.lengths, replay.lengths)
+    np.testing.assert_array_equal(result.log_proposals, replay.log_proposals)
+    np.testing.assert_array_equal(result.log_numerators, replay.log_numerators)
+    tables = result.tables() or [None] * result.n_samples
+    for got, want in zip(tables, replay.tables):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert dict(got.counts) == want
 
 
 def _spec_args(spec, n_states):
@@ -144,18 +232,29 @@ class TestImplementationParity:
 
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_monitor_codes_match_vector_monitors(self, prop, rng):
+        """Both tiers evaluate the formula's mask spec on a lockstep batch
+        exactly as its scalar monitors decide each path, position by
+        position, for every path still undecided."""
         chain = _labelled_chain(rng)
-        vm = parse_property(prop).vector_monitor(chain)
-        spec = vm.mask_spec()
+        formula = parse_property(prop)
+        spec = formula.mask_spec(chain)
         assert spec is not None
         args = _spec_args(spec, chain.n_states)
-        states = rng.integers(0, chain.n_states, size=64)
-        for time in range(10):
-            expected = vm.update(states, time)
+        n_paths, horizon = 256, 12
+        paths = rng.integers(0, chain.n_states, size=(n_paths, horizon))
+        monitors = [formula.compile(chain)() for _ in range(n_paths)]
+        live = np.arange(n_paths)
+        for time in range(horizon):
+            states = paths[live, time]
+            expected = np.array(
+                [_VERDICT_CODES[monitors[k].update(s)] for k, s in zip(live, states)],
+                dtype=np.int8,
+            )
             got_np = kernels._monitor_codes_numpy(states, time, *args)
             got_loop = kernels._monitor_codes_loop(states, time, *args)
             np.testing.assert_array_equal(got_np, expected)
             np.testing.assert_array_equal(got_loop, expected)
+            live = live[expected == mon.VECTOR_UNDECIDED]
 
     def test_futility_cut(self, rng):
         codes = rng.integers(0, 3, size=200).astype(np.int8)
@@ -361,7 +460,7 @@ class TestTraceCounts:
 
 
 class TestKernelBackendParity:
-    """KernelBackend realises bitwise the vectorized engine's ensembles."""
+    """KernelBackend realises bitwise the lockstep replay's ensembles."""
 
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_ensembles_bitwise_identical(self, prop, rng):
@@ -370,19 +469,11 @@ class TestKernelBackendParity:
         plan = make_plan(
             chain, formula, count_mode="all", record_log_prob=True, max_steps=60
         )
-        a = VectorizedBackend(plan).run_ensemble(500, np.random.default_rng(7))
-        b = KernelBackend(plan).run_ensemble(500, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.satisfied, b.satisfied)
-        np.testing.assert_array_equal(a.decided, b.decided)
-        np.testing.assert_array_equal(a.lengths, b.lengths)
-        np.testing.assert_array_equal(a.log_proposals, b.log_proposals)
-        vec_tables = a.tables()
-        ker_tables = b.tables()
-        for x, y in zip(vec_tables, ker_tables):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert dict(x.counts) == dict(y.counts)
-                assert list(x.counts) == list(y.counts)  # iteration order too
+        result = KernelBackend(plan).run_ensemble(500, np.random.default_rng(7))
+        assert_matches_replay(result, lockstep_replay(plan, 500, np.random.default_rng(7)))
+        for table in result.tables():
+            keys = [s * chain.n_states + t for s, t in table.counts]
+            assert keys == sorted(keys)  # dict iteration order is the key order
 
     @pytest.mark.parametrize("prop", VECTOR_FORMULAS)
     def test_trace_for_trace_vs_sequential(self, prop, rng):
@@ -409,16 +500,17 @@ class TestKernelBackendParity:
             assert dict(a.counts.counts) == dict(b.counts.counts)
 
     def test_fused_numerator_matches_vectorized(self, rng):
+        """The fused numerator equals the lockstep replay's step-by-step
+        sum of ``log a_ij``, bit for bit."""
         chain = _labelled_chain(rng)
         weight = random_dtmc(rng, chain.n_states, sparsity=1.0)
         plan = make_plan(
             chain, parse_property('F "goal"'), record_log_prob=True,
             weight_chain=weight, max_steps=60,
         )
-        a = VectorizedBackend(plan).run_ensemble(400, np.random.default_rng(3))
-        b = KernelBackend(plan).run_ensemble(400, np.random.default_rng(3))
-        assert a.log_numerators is not None and b.log_numerators is not None
-        np.testing.assert_array_equal(a.log_numerators, b.log_numerators)
+        result = KernelBackend(plan).run_ensemble(400, np.random.default_rng(3))
+        assert result.log_numerators is not None
+        assert_matches_replay(result, lockstep_replay(plan, 400, np.random.default_rng(3)))
 
     def test_self_weight_numerator_equals_proposal(self, small_chain):
         # Weighting against the sampled chain itself: log a = log b exactly.
@@ -453,7 +545,7 @@ class TestKernelBackendParity:
 
 
 class TestEnsembleMerge:
-    """merge/concatenate across count representations and accumulators."""
+    """merge/concatenate of count arrays and accumulators."""
 
     def _plan(self, chain, weight=None):
         return make_plan(
@@ -469,27 +561,11 @@ class TestEnsembleMerge:
         merged = a.merge(b)
         assert merged.n_samples == 100
         assert merged.count_arrays is not None
-        assert merged.count_tables is None
         np.testing.assert_array_equal(
             merged.log_numerators,
             np.concatenate([a.log_numerators, b.log_numerators]),
         )
         assert merged.tables()[:60] == a.tables()
-
-    def test_merge_mixed_representations(self, small_chain):
-        plan = self._plan(small_chain)
-        arrays = KernelBackend(plan).run_ensemble(50, np.random.default_rng(9))
-        tables = VectorizedBackend(plan).run_ensemble(30, np.random.default_rng(10))
-        assert arrays.count_arrays is not None and arrays.count_tables is None
-        assert tables.count_tables is not None and tables.count_arrays is None
-        merged = arrays.merge(tables)
-        assert merged.n_samples == 80
-        combined = merged.tables()
-        assert len(combined) == 80
-        for x, y in zip(combined, arrays.tables() + list(tables.count_tables)):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert dict(x.counts) == dict(y.counts)
 
     def test_merge_without_numerators_keeps_none(self, small_chain):
         plan = self._plan(small_chain)
@@ -500,7 +576,7 @@ class TestEnsembleMerge:
 
 
 class TestFusedEstimatorParity:
-    """Fused weights reproduce the classic per-trace table walk."""
+    """Fused weights reproduce the count-table weights."""
 
     @pytest.fixture
     def setup(self):
@@ -515,8 +591,9 @@ class TestFusedEstimatorParity:
     def test_fused_matches_classic_weights(self, setup):
         original, proposal, formula = setup
         classic = run_importance_sampling(
-            proposal, formula, 2000, np.random.default_rng(11), backend="vectorized"
+            proposal, formula, 2000, np.random.default_rng(11), backend="kernel"
         )
+        assert classic.log_numerator is None  # weighted from its count arrays
         fused = run_importance_sampling(
             proposal, formula, 2000, np.random.default_rng(11),
             backend="kernel", original=original, keep_counts=False,
@@ -575,10 +652,25 @@ class TestRegistryQuickStudyParity:
 
     @pytest.mark.parametrize("name", REGISTRY.quick_studies())
     def test_kernel_vectorized_sequential_agree(self, name):
+        """Kernel IS samples equal the lockstep (vectorized-order) replay
+        bit for bit, fused numerators and estimate included; the
+        sequential engine agrees statistically."""
         study, unrolled = REGISTRY.get(name).build(quick=True).as_pair()
         n = 300
+        if unrolled is not None:
+            plan = make_plan(
+                unrolled.chain, unrolled.formula, record_log_prob=True,
+                futility=unrolled.futility, weight_chain=study.center,
+                weight_state_map=unrolled.state_map(),
+            )
+        else:
+            plan = make_plan(
+                study.proposal, study.formula, record_log_prob=True,
+                weight_chain=study.center,
+            )
+        replay = lockstep_replay(plan, n, np.random.default_rng(2024))
         results = {}
-        for backend in ("kernel", "vectorized", "sequential"):
+        for backend in ("kernel", "sequential"):
             rng = np.random.default_rng(2024)
             if unrolled is not None:
                 sample = run_bounded_importance_sampling(
@@ -592,13 +684,16 @@ class TestRegistryQuickStudyParity:
             results[backend] = estimate_from_sample(
                 study.center, sample, study.confidence
             )
-        a, b = results["kernel"], results["vectorized"]
-        # kernel and vectorized consume the stream identically and both
-        # fuse the numerator: identical down to the last bit.
-        assert a.n_satisfied == b.n_satisfied
-        assert a.estimate == b.estimate
-        assert (a.interval.low, a.interval.high) == (b.interval.low, b.interval.high)
-        assert a.ess == b.ess
+        assert_matches_replay(
+            KernelBackend(plan).run_ensemble(n, np.random.default_rng(2024)), replay
+        )
+        sat = replay.satisfied
+        log_w = replay.log_numerators[sat] - replay.log_proposals[sat]
+        gamma, std_dev = moments_from_log_weights(log_w, n)
+        a = results["kernel"]
+        assert a.n_satisfied == int(np.count_nonzero(sat))
+        assert (a.estimate, a.std_dev) == (gamma, std_dev)
+        assert a.ess == ess_from_log_weights(log_w)
         # the sequential engine consumes the stream per-trace: same
         # distribution, so the estimates agree statistically.
         c = results["sequential"]

@@ -4,8 +4,8 @@ The contract under test: ``ParallelBackend`` results are invariant to the
 worker count (same seed ⇒ identical arrays and count tables for
 ``workers=1`` and ``workers=4``), and batches of at most one shard are
 bitwise-identical to the inner backend driven by the caller's generator —
-including the one-trace-batch exact-equality suite the vectorized engine
-is held to.
+including the one-trace-batch exact-equality suite the kernel engine is
+held to.
 """
 
 import numpy as np
@@ -14,9 +14,9 @@ import pytest
 from repro.errors import EstimationError
 from repro.properties import parse_property
 from repro.smc import (
+    KernelBackend,
     ParallelBackend,
     TraceSampler,
-    VectorizedBackend,
     make_plan,
     resolve_backend,
     resolve_workers,
@@ -24,12 +24,10 @@ from repro.smc import (
 from repro.smc.parallel import shard_sizes
 
 from tests.smc.test_engine import VECTOR_FORMULAS, _labelled_chain
+from tests.smc.test_kernels import lockstep_replay
 
 
 def _tables(result):
-    # tables() materializes count_arrays (kernel backend) and passes
-    # count_tables (vectorized/sequential) through — the comparisons here
-    # hold across storage representations.
     tables = result.tables()
     if tables is None:
         return None
@@ -107,9 +105,10 @@ class TestConstruction:
             assert backend.inner.name == "kernel"
 
     def test_inner_vectorized_forced(self, small_chain):
+        # "vectorized" names no in-process engine: it fails loudly.
         plan = make_plan(small_chain, parse_property('F "goal"'))
-        with ParallelBackend(plan, workers=1, inner="vectorized") as backend:
-            assert backend.inner.name == "vectorized"
+        with pytest.raises(EstimationError, match="backend must be one of"):
+            ParallelBackend(plan, workers=1, inner="vectorized")
 
     def test_inner_falls_back_sequential(self, small_chain):
         formula = parse_property('(F<=3 "goal") | (F<=5 "fail")')
@@ -138,9 +137,9 @@ class TestInProcessFallback:
             count_mode="all",
             record_log_prob=True,
         )
-        vec = VectorizedBackend(plan)
+        ker = KernelBackend(plan)
         with ParallelBackend(plan, workers=4, shard_size=128) as par:
-            a = vec.run_ensemble(128, np.random.default_rng(17))
+            a = ker.run_ensemble(128, np.random.default_rng(17))
             b = par.run_ensemble(128, np.random.default_rng(17))
             _assert_identical(a, b)
             assert par._pool is None  # the pool was never spawned
@@ -150,12 +149,12 @@ class TestInProcessFallback:
         chain = _labelled_chain(rng)
         formula = parse_property(prop)
         plan = make_plan(chain, formula, count_mode="all", record_log_prob=True, max_steps=50)
-        vec = resolve_backend("vectorized", plan)
+        ker = resolve_backend("kernel", plan)
         with ParallelBackend(plan, workers=2) as par:
             rng_a = np.random.default_rng(99)
             rng_b = np.random.default_rng(99)
             for _ in range(60):
-                a = vec.run_ensemble(1, rng_a)
+                a = ker.run_ensemble(1, rng_a)
                 b = par.run_ensemble(1, rng_b)
                 _assert_identical(a, b)
 
@@ -215,11 +214,11 @@ class TestDeterminism:
             )
 
     def test_statistics_agree_with_vectorized(self, plan):
-        vec = VectorizedBackend(plan)
-        reference = vec.run_ensemble(4000, np.random.default_rng(1))
+        # The unsharded lockstep (vectorized-order) replay is the reference.
+        reference = lockstep_replay(plan, 4000, np.random.default_rng(1))
         sharded = self._run(plan, 2, n=4000, seed=1)
         # Different stream layout, same distribution.
-        p_ref = reference.n_satisfied / reference.n_samples
+        p_ref = np.count_nonzero(reference.satisfied) / 4000
         p_par = sharded.n_satisfied / sharded.n_samples
         assert p_par == pytest.approx(p_ref, abs=0.05)
 

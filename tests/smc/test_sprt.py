@@ -4,11 +4,23 @@ import pytest
 
 from repro.analysis import probability
 from repro.errors import EstimationError
+from repro.models import illustrative
 from repro.properties import parse_property
 from repro.smc import sprt
 
 
 class TestSPRT:
+    def test_parallel_batches_like_kernel(self):
+        # A parallel backend walks verdicts in chunks like its kernel inner
+        # engine; chunks below the shard size run in-process on the
+        # caller's generator, so the whole test is identical.
+        chain = illustrative.illustrative_chain(0.3, 0.4)
+        formula = illustrative.reach_goal_formula()
+        kernel = sprt(chain, formula, 0.2, 0.02, rng=5, backend="kernel")
+        parallel = sprt(chain, formula, 0.2, 0.02, rng=5, backend="parallel")
+        assert kernel.n_samples > 1
+        assert parallel == kernel
+
     def test_accepts_true_hypothesis(self, small_chain, rng):
         formula = parse_property('F "goal"')
         gamma = probability(small_chain, formula)  # ~0.136

@@ -87,7 +87,7 @@ def test_smoke_coverage(study: str, estimator: str):
     )
 
 
-@pytest.mark.parametrize("backend", ["sequential", "vectorized", "kernel"])
+@pytest.mark.parametrize("backend", ["sequential", "kernel"])
 def test_backend_coverage(backend: str):
     """Coverage holds on every simulation backend, not just ``auto``."""
     for estimator in ("is", "ce", "imc"):

@@ -1,5 +1,6 @@
 """Smoke tests of the command-line interface (scaled-down runs)."""
 
+import argparse
 import json
 import threading
 
@@ -33,6 +34,24 @@ class TestParser:
     def test_backend_choices_include_parallel(self):
         args = build_parser().parse_args(["table1", "--backend", "parallel"])
         assert args.backend == "parallel"
+
+    def test_backend_choices_are_engine_names(self):
+        from repro.smc import BACKEND_NAMES
+
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        backend_options = [
+            action
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            if action.dest == "backend"
+        ]
+        assert backend_options
+        for action in backend_options:
+            assert tuple(action.choices) == BACKEND_NAMES
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table1", "--backend", "vectorized"])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
